@@ -37,14 +37,7 @@ from .elements import (
     substitute_offvar,
 )
 from .exprs import ParseError, lower, parse, parse_element
-from .ivpoly import (
-    IVPoly,
-    binom,
-    ivp_complement,
-    ivp_from_values,
-    ivp_product,
-    ivp_shift,
-)
+from .ivpoly import IVPoly, binom
 from .oracle import (
     Rep,
     VerifyReport,
@@ -81,10 +74,6 @@ __all__ = [
     "fdiv_merge",
     "from_h_basis",
     "from_power_basis",
-    "ivp_complement",
-    "ivp_from_values",
-    "ivp_product",
-    "ivp_shift",
     "lower",
     "matrix_min_poly",
     "min_poly",

@@ -17,10 +17,16 @@ a+b+c-k <= d, so a single pass puts any monomial into the span of the basis;
 the code asserts that instead of looping.
 
 Products are assembled from a cached normal form of the collision
-binom(H,b) e^(c) * f^(a') binom(H,b') computed by the U-mode straightening
-engine, then reduced term by term. That this equals normalize(mul(x,y)) is a
-tested property (normalize is a quotient map), and the structure constants
-are independently checked against the matrix oracles.
+binom(H,b) e^(c) * f^(a') binom(H,b') in the flavor's own variable H, given
+by Kostant's commutation formula
+
+    e^(c) f^(a') = sum_t f^(a'-t) binom(h - a' - c + 2t, t) e^(c-t),
+
+with h = d - 2H2 (FHE; EHF mirrors with f^(c) e^(a') and -h = d - 2H1),
+then reduced term by term. The untruncated U-mode engine of schur2.elements
+is not used: that mul_bd equals normalize(mul(x,y)) is a tested property
+comparing the two engines, and the structure constants are independently
+checked against the matrix oracles.
 """
 
 from __future__ import annotations
@@ -30,19 +36,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-import numpy as np
-
 from . import matrices
 from .elements import (
     Element,
     Flavor,
     Scalar,
-    _as_scalar,
     mul,
     substitute_offvar,
 )
 from .ivpoly import binom, values_to_coeffs
-from .qpoly import Poly, pfrom_roots, pmonic, ptrim
+from .qpoly import Poly, pfrom_roots
 
 Monomial = tuple[int, int, int]
 
@@ -127,24 +130,30 @@ def normalize(x: Element, ctx: SchurContext) -> Element:
 
 @lru_cache(maxsize=None)
 def _collision_table(
-    flavor: Flavor, d: int, b: int, c: int, a2: int, b2: int
+    d: int, b: int, c: int, a2: int, b2: int
 ) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
     """Normal form of binom(H,b) R^(c) * L^(a2) binom(H,b2), off-var collapsed.
 
     Returns tuples (aa, cc, middle) with middle = ((m, coef), ...) meaning
-    L^(aa) * sum coef*binom(H,m) * R^(cc). Computed once by the U-mode engine
-    and reused for every product with the same inner profile.
+    L^(aa) * sum coef*binom(H,m) * R^(cc). By Kostant's formula the collision
+    is the sum over t = 0..min(c,a2) of L^(a2-t) P_t(H) R^(c-t) with
+
+        P_t(H) = binom(H+a2-t, b) binom(d-2H-a2-c+2t, t) binom(H+c-t, b2),
+
+    the middle factor being binom(+-h - a2 - c + 2t, t) with +-h = d - 2H in
+    both flavors. P_t has degree b+t+b2, so its values at H = 0..b+t+b2 fix
+    its (integral) binomial-basis coefficients.
     """
-    left = Element.monomial(0, b, c, flavor)
-    right = Element.monomial(a2, b2, 0, flavor)
-    product = substitute_offvar(mul(left, right), d)
-    grouped: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (aa, m, cc), q in product.single_var_terms().items():
-        assert isinstance(q, int), "collision normal form must be integral"
-        grouped.setdefault((aa, cc), []).append((m, q))
-    return tuple(
-        (aa, cc, tuple(sorted(mids))) for (aa, cc), mids in sorted(grouped.items())
-    )
+    out = []
+    for t in range(min(c, a2), -1, -1):
+        values = [
+            binom(h + a2 - t, b) * binom(d - 2 * h - a2 - c + 2 * t, t) * binom(h + c - t, b2)
+            for h in range(b + t + b2 + 1)
+        ]
+        middle = tuple((m, q) for m, q in enumerate(values_to_coeffs(values)) if q)
+        if middle:
+            out.append((a2 - t, c - t, middle))
+    return tuple(out)
 
 
 def mul_bd(x: Element, y: Element, ctx: SchurContext) -> Element:
@@ -158,7 +167,7 @@ def mul_bd(x: Element, y: Element, ctx: SchurContext) -> Element:
     for (a, b, c), qx in xs.items():
         for (a2, b2, c2), qy in ys.items():
             qxy = qx * qy
-            for aa, cc, middle in _collision_table(flavor, d, b, c, a2, b2):
+            for aa, cc, middle in _collision_table(d, b, c, a2, b2):
                 big_a, big_c = a + aa, cc + c2
                 scal = qxy * binom(big_a, a) * binom(big_c, cc)
                 if scal == 0:
@@ -308,57 +317,28 @@ def from_h_basis(coeffs: dict[Monomial, Fraction | int], ctx: SchurContext) -> E
 # -- minimal polynomials ----------------------------------------------------
 
 
-def left_multiplication_matrix(x: Element, ctx: SchurContext) -> np.ndarray:
-    """Matrix of y -> x*y on the Kostant basis (columns indexed by basis)."""
-    monos = basis(ctx)
-    index = {mono: k for k, mono in enumerate(monos)}
-    n = len(monos)
-    mat = matrices.zeros(n, n)
-    for j, mono in enumerate(monos):
-        prod = mul_bd(x, Element.monomial(*mono, ctx.flavor), ctx)
-        for out_mono, q in prod.single_var_terms().items():
-            mat[index[out_mono], j] = q
-    return mat
-
-
 def min_poly(x: Element, ctx: SchurContext) -> Poly:
     """Exact minimal polynomial of left multiplication by normalize(x).
 
     Left multiplication is faithful and unital, so its minimal polynomial is
     witnessed entirely by the identity seed: the first linear dependency among
     the basis coordinates of 1, x, x^2, ... is the answer. Powers are taken
-    with mul_bd, dependencies found by exact elimination.
+    with mul_bd, each only once the previous one proved independent.
     """
     monos = basis(ctx)
     index = {mono: k for k, mono in enumerate(monos)}
-    n = len(monos)
     y = normalize(x, ctx)
-    reduced: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    power = Element.one(ctx.flavor)
-    k = 0
-    while True:
-        vec = [Fraction(0)] * n
-        for mono, q in power.single_var_terms().items():
-            vec[index[mono]] = Fraction(q)
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
-        for piv, row, row_combo in reduced:
-            fac = vec[piv]
-            if fac:
-                for i in range(n):
-                    if row[i]:
-                        vec[i] -= fac * row[i]
-                for i in range(len(row_combo)):
-                    if row_combo[i]:
-                        combo[i] -= fac * row_combo[i]
-        piv = next((i for i in range(n) if vec[i]), None)
-        if piv is None:
-            return pmonic(ptrim(combo))
-        inv = 1 / vec[piv]
-        reduced.append((piv, [v * inv for v in vec], [q * inv for q in combo]))
-        assert k <= n, "regular action Krylov failed to terminate"
-        power = mul_bd(power, y, ctx)
-        k += 1
+
+    def powers():
+        power = Element.one(ctx.flavor)
+        while True:
+            vec = [Fraction(0)] * len(monos)
+            for mono, q in power.single_var_terms().items():
+                vec[index[mono]] = Fraction(q)
+            yield vec
+            power = mul_bd(power, y, ctx)
+
+    return matrices.first_dependency(powers())
 
 
 def expected_h_var_min_poly(d: int) -> Poly:

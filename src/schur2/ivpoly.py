@@ -206,21 +206,3 @@ class IVPoly:
                 parts.append(f"{c}*binom({self.var},{b})")
         return " + ".join(parts).replace("+ -", "- ")
 
-
-# Free-function spellings of the IVPoly operations.
-
-
-def ivp_from_values(values: Sequence[int], var: str = "H2") -> IVPoly:
-    return IVPoly.from_values(values, var)
-
-
-def ivp_product(p: IVPoly, q: IVPoly) -> IVPoly:
-    return p * q
-
-
-def ivp_shift(p: IVPoly, s: int) -> IVPoly:
-    return p.shift(s)
-
-
-def ivp_complement(p: IVPoly, d: int) -> IVPoly:
-    return p.complement(d)

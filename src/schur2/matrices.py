@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,23 +70,16 @@ def max_abs(a: np.ndarray) -> int:
     return int(m) if isinstance(m, Fraction) else int(m)
 
 
+def int64_safe(n: int, max_a: int, max_b: int) -> bool:
+    """Whether length-n dot products of entries bounded by max_a and max_b fit int64."""
+    return n * max(max_a, 1) * max(max_b, 1) < _INT64_SAFE
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product; int64 under a proven bound, objects otherwise."""
-    if is_integral(a) and is_integral(b):
-        n = a.shape[1]
-        bound = n * max(max_abs(a), 1) * max(max_abs(b), 1)
-        if bound < _INT64_SAFE:
-            return (a.astype(np.int64) @ b.astype(np.int64)).astype(object)
+    """Exact matrix (or matrix-vector) product; int64 under a proven bound."""
+    if is_integral(a) and is_integral(b) and int64_safe(a.shape[1], max_abs(a), max_abs(b)):
+        return (a.astype(np.int64) @ b.astype(np.int64)).astype(object)
     return a.dot(b)
-
-
-def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if is_integral(a) and is_integral(v):
-        n = a.shape[1]
-        bound = n * max(max_abs(a), 1) * max(max_abs(v), 1)
-        if bound < _INT64_SAFE:
-            return (a.astype(np.int64) @ v.astype(np.int64)).astype(object)
-    return a.dot(v)
 
 
 def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -194,36 +187,53 @@ def _poly_matvec(p: Poly, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = np.zeros(n, dtype=object)
     w[...] = 0
     for c in reversed(p):
-        w = matvec(a, w)
+        w = matmul(a, w)
         if c != 0:
             w = w + v * (int(c) if c.denominator == 1 else c)
     return w
 
 
+def first_dependency(vectors: Iterable[Sequence[Fraction]]) -> Poly:
+    """Monic c with c_0 v_0 + ... + c_k v_k = 0 for the first dependent prefix.
+
+    Exact elimination keeps each stored row beside the combination of the
+    v_i it came from. The next vector is drawn only after the previous one
+    proved independent, so a lazy Krylov sequence is computed no further
+    than its first dependency.
+    """
+    reduced: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    for k, vec in enumerate(vectors):
+        vec = list(vec)
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        for piv, row, row_combo in reduced:
+            fac = vec[piv]
+            if fac:
+                for i, r in enumerate(row):
+                    if r:
+                        vec[i] -= fac * r
+                for i, r in enumerate(row_combo):
+                    if r:
+                        combo[i] -= fac * r
+        piv = next((i for i, v in enumerate(vec) if v), None)
+        if piv is None:
+            return pmonic(ptrim(combo))
+        if k >= len(vec):
+            raise ArithmeticError("Krylov sequence failed to terminate")
+        inv = 1 / vec[piv]
+        reduced.append((piv, [v * inv for v in vec], [q * inv for q in combo]))
+    raise ValueError("sequence ended before a linear dependency")
+
+
 def _relative_min_poly(a: np.ndarray, v: np.ndarray) -> Poly:
     """Monic generator of {p : p(a) v = 0} via Krylov linear dependence."""
-    n = len(v)
-    ech: list[tuple[int, list[Fraction]]] = []  # (pivot, normalized augmented row)
-    w = v.copy()
-    k = 0
-    while True:
-        row = [Fraction(x) for x in w] + [Fraction(0)] * (n + 2)
-        row[n + k] = Fraction(1)
-        for piv, er in ech:
-            if row[piv] != 0:
-                fac = row[piv]
-                for idx in range(len(er)):
-                    if er[idx]:
-                        row[idx] -= fac * er[idx]
-        piv = next((i for i in range(n) if row[i] != 0), None)
-        if piv is None:
-            coeffs = row[n : n + k + 1]
-            return pmonic(ptrim(coeffs))
-        inv = 1 / row[piv]
-        ech.append((piv, [x * inv for x in row]))
-        w = matvec(a, w)
-        k += 1
-        assert k <= n + 1, "Krylov sequence failed to terminate"
+
+    def krylov():
+        w = v
+        while True:
+            yield [Fraction(x) for x in w]
+            w = matmul(a, w)
+
+    return first_dependency(krylov())
 
 
 def _annihilates_i64(p_int: list[int], a64: np.ndarray, max_a: int, seed: int) -> bool | None:
@@ -232,7 +242,7 @@ def _annihilates_i64(p_int: list[int], a64: np.ndarray, max_a: int, seed: int) -
     w = np.zeros(n, dtype=np.int64)
     max_w = 0
     for c in reversed(p_int):
-        if n * max(max_a, 1) * max(max_w, 1) >= _INT64_SAFE or abs(c) >= _INT64_SAFE:
+        if not int64_safe(n, max_a, max_w) or abs(c) >= _INT64_SAFE:
             return None
         w = a64 @ w
         if c:
@@ -257,7 +267,7 @@ def min_poly(a: np.ndarray) -> Poly:
     max_a = 0
     if is_integral(a):
         max_a = max_abs(a)
-        if n * max(max_a, 1) < _INT64_SAFE:
+        if int64_safe(n, max_a, 1):
             a64 = np.array([[int(x) for x in row] for row in a], dtype=np.int64)
     acc: Poly = ptrim([1])
     for s in range(n):

@@ -12,7 +12,7 @@ nothing the symbolic engine uses, so agreement between the three routes is
 meaningful evidence rather than a tautology.
 
 Divided powers are produced by the integral recurrence T^(m) = T^(m-1) T / m
-with an exact-divisibility assertion, never by dividing floats; binomials of
+with an exact-divisibility check, never by dividing floats; binomials of
 the diagonal generators act entrywise on the diagonal. Everything stays in
 int64 under explicit overflow bounds, spilling to arbitrary-precision objects
 when a bound cannot be certified.
@@ -30,16 +30,14 @@ from .algebra import SchurContext, StructureTable
 from .elements import Element, Flavor
 from .qpoly import Poly, prender
 
-_INT64_GUARD = 2**62
-
 Monomial = tuple[int, int, int]
 
 
 def _checked_matmul_i64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    bound = a.shape[1] * max(int(np.abs(a).max(initial=0)), 1) * max(
-        int(np.abs(b).max(initial=0)), 1
-    )
-    assert bound < _INT64_GUARD, "int64 product bound exceeded"
+    if not matrices.int64_safe(
+        a.shape[1], int(np.abs(a).max(initial=0)), int(np.abs(b).max(initial=0))
+    ):
+        raise OverflowError("int64 product bound exceeded")
     return a @ b
 
 
@@ -76,7 +74,8 @@ class Rep:
             k = len(cache)
             raw = _checked_matmul_i64(cache[-1], self._base[letter])
             quot, rem = np.divmod(raw, k)
-            assert not rem.any(), "divided power recurrence must divide exactly"
+            if rem.any():
+                raise OverflowError("divided power recurrence must divide exactly")
             cache.append(quot)
         return cache[m]
 
@@ -90,7 +89,7 @@ class Rep:
         return self._binoms[key]
 
     def image_int64(self, key: tuple[int, int, int, int], flavor: Flavor) -> np.ndarray:
-        """Image of one normal-order monomial, int64 with asserted bounds."""
+        """Image of one normal-order monomial, int64 under checked bounds."""
         a, b1, b2, c = key
         diag = self.h_binom_values("H1", b1) * self.h_binom_values("H2", b2)
         left_letter, right_letter = flavor.letters
@@ -206,15 +205,17 @@ def products_match(table: StructureTable, rep: Rep) -> tuple[bool, str]:
     n = len(monos)
     stack = images_int64(monos, rep, table.flavor)
     flat = stack.reshape(n, -1)
-    max_entry = max(int(np.abs(stack).max(initial=0)), 1)
-    assert rep.dim * max_entry * max_entry < _INT64_GUARD
+    max_entry = int(np.abs(stack).max(initial=0))
+    if not matrices.int64_safe(rep.dim, max_entry, max_entry):
+        raise OverflowError("int64 bound exceeded for the image products")
     max_coef = 1
     for terms in table.products.values():
         for _, q in terms:
             if not isinstance(q, int):
                 return False, "structure constants are not integral"
             max_coef = max(max_coef, abs(q))
-    assert n * max_coef * max_entry < _INT64_GUARD
+    if not matrices.int64_safe(n, max_coef, max_entry):
+        raise OverflowError("int64 bound exceeded for the expected products")
 
     pairs = [(i, j) for i in range(n) for j in range(n)]
     chunk = 512

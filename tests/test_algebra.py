@@ -9,6 +9,7 @@ import pytest
 
 from schur2.algebra import (
     SchurContext,
+    _collision_table,
     basis,
     check_relations,
     dimension,
@@ -25,7 +26,7 @@ from schur2.algebra import (
     to_h_basis,
     to_power_basis,
 )
-from schur2.elements import Element, Flavor, mul
+from schur2.elements import Element, Flavor, mul, substitute_offvar
 from schur2.qpoly import pfrom_roots, ptrim
 
 
@@ -116,14 +117,40 @@ def test_mul_bd_frozen_cases():
 
 
 def test_mul_bd_agrees_with_untruncated_product():
+    # Two engines: mul_bd (Kostant's formula in the flavor's own variable)
+    # against U-mode straightening followed by normalize. Inputs leave the
+    # basis: exponents run above d, and terms carry the off-flavor variable
+    # (H1 in FHE, H2 in EHF).
     rng = random.Random(79)
-    for _ in range(30):
-        d = rng.randint(0, 4)
-        flavor = rng.choice([Flavor.FHE, Flavor.EHF])
-        ctx = SchurContext(d, flavor)
-        x = _random_element(rng, flavor)
-        y = _random_element(rng, flavor)
-        assert mul_bd(x, y, ctx) == normalize(mul(x, y), ctx)
+    for d in range(7):
+        for flavor in (Flavor.FHE, Flavor.EHF):
+            ctx = SchurContext(d, flavor)
+            for _ in range(3):
+                x = _random_element(rng, flavor, max_exp=d + 2)
+                y = _random_element(rng, flavor, max_exp=d + 2)
+                assert mul_bd(x, y, ctx) == normalize(mul(x, y), ctx)
+
+
+def test_collision_table_matches_u_mode_product():
+    # The truncated product's kernel against the U-mode engine, on every
+    # collision binom(H,b) R^(c) * L^(a2) binom(H,b2) of two basis monomials.
+    for d in range(7):
+        for flavor in (Flavor.FHE, Flavor.EHF):
+            for b in range(d + 1):
+                for c in range(d + 1 - b):
+                    left = Element.monomial(0, b, c, flavor)
+                    for a2 in range(d + 1):
+                        for b2 in range(d + 1 - a2):
+                            right = Element.monomial(a2, b2, 0, flavor)
+                            product = substitute_offvar(mul(left, right), d)
+                            grouped: dict[tuple[int, int], list[tuple[int, int]]] = {}
+                            for (aa, m, cc), q in product.single_var_terms().items():
+                                grouped.setdefault((aa, cc), []).append((m, q))
+                            expected = tuple(
+                                (aa, cc, tuple(sorted(mids)))
+                                for (aa, cc), mids in sorted(grouped.items())
+                            )
+                            assert _collision_table(d, b, c, a2, b2) == expected
 
 
 def _random_element(rng, flavor, max_exp=2, nterms=3):

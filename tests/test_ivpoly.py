@@ -12,10 +12,6 @@ from schur2.ivpoly import (
     binom_complement_coeffs,
     binom_product_coeffs,
     binom_shift_coeffs,
-    ivp_complement,
-    ivp_from_values,
-    ivp_product,
-    ivp_shift,
     values_to_coeffs,
 )
 
@@ -56,9 +52,9 @@ def test_binom_matches_falling_factorial():
 
 
 def test_from_values_examples():
-    assert ivp_from_values([0, 1, 4]).coeffs == (0, 1, 2)
-    assert ivp_from_values([1, 1, 1]).coeffs == (1,)
-    assert ivp_from_values([0, 1]).coeffs == (0, 1)
+    assert IVPoly.from_values([0, 1, 4]).coeffs == (0, 1, 2)
+    assert IVPoly.from_values([1, 1, 1]).coeffs == (1,)
+    assert IVPoly.from_values([0, 1]).coeffs == (0, 1)
 
 
 def test_from_values_round_trip():
@@ -68,16 +64,16 @@ def test_from_values_round_trip():
         coeffs = tuple(rng.randint(-9, 9) for _ in range(deg + 1))
         p = IVPoly("H2", coeffs)
         values = [p(n) for n in range(len(p.coeffs) + 1)]
-        assert ivp_from_values(values).coeffs == p.coeffs
+        assert IVPoly.from_values(values).coeffs == p.coeffs
 
 
 def test_product_examples():
     b1 = IVPoly.single(1)
     b2 = IVPoly.single(2)
-    assert ivp_product(b1, b1).coeffs == (0, 1, 2)
-    assert ivp_product(b1, b2).coeffs == (0, 0, 2, 3)
+    assert (b1 * b1).coeffs == (0, 1, 2)
+    assert (b1 * b2).coeffs == (0, 0, 2, 3)
     p = IVPoly("H2", (3, -1, 4))
-    assert ivp_product(p, IVPoly.constant(1)) == p
+    assert p * IVPoly.constant(1) == p
 
 
 def test_product_pointwise():
@@ -85,20 +81,20 @@ def test_product_pointwise():
     for _ in range(100):
         p = IVPoly("H2", tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 5))))
         q = IVPoly("H2", tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 5))))
-        prod = ivp_product(p, q)
+        prod = p * q
         for n in range(len(p.coeffs) + len(q.coeffs) + 1):
             assert prod(n) == p(n) * q(n)
 
 
 def test_product_variable_mismatch():
     with pytest.raises(ValueError):
-        ivp_product(IVPoly.single(1, "H1"), IVPoly.single(1, "H2"))
+        IVPoly.single(1, "H1") * IVPoly.single(1, "H2")
 
 
 def test_shift_examples():
-    assert ivp_shift(IVPoly.single(1), -1).coeffs == (-1, 1)
-    assert ivp_shift(IVPoly.single(4), 0) == IVPoly.single(4)
-    assert ivp_shift(IVPoly.single(2), 1).coeffs == (0, 1, 1)
+    assert IVPoly.single(1).shift(-1).coeffs == (-1, 1)
+    assert IVPoly.single(4).shift(0) == IVPoly.single(4)
+    assert IVPoly.single(2).shift(1).coeffs == (0, 1, 1)
 
 
 def test_shift_pointwise_and_inverse():
@@ -106,16 +102,16 @@ def test_shift_pointwise_and_inverse():
     for _ in range(100):
         p = IVPoly("H1", tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 5))))
         s = rng.randint(-4, 4)
-        shifted = ivp_shift(p, s)
+        shifted = p.shift(s)
         for n in range(-3, 8):
             assert shifted(n) == p(n + s)
-        assert ivp_shift(shifted, -s) == p
+        assert shifted.shift(-s) == p
 
 
 def test_complement_examples():
-    assert ivp_complement(IVPoly.single(1), 2).coeffs == (2, -1)
-    assert ivp_complement(IVPoly.constant(1), 5).coeffs == (1,)
-    assert ivp_complement(IVPoly.single(2), 3).coeffs == (3, -2, 1)
+    assert IVPoly.single(1).complement(2).coeffs == (2, -1)
+    assert IVPoly.constant(1).complement(5).coeffs == (1,)
+    assert IVPoly.single(2).complement(3).coeffs == (3, -2, 1)
 
 
 def test_complement_pointwise_and_involution():
@@ -123,10 +119,10 @@ def test_complement_pointwise_and_involution():
     for _ in range(100):
         p = IVPoly("H2", tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 5))))
         d = rng.randint(0, 6)
-        comp = ivp_complement(p, d)
+        comp = p.complement(d)
         for n in range(-2, 9):
             assert comp(n) == p(d - n)
-        assert ivp_complement(comp, d) == p
+        assert comp.complement(d) == p
 
 
 def test_evaluation_is_integral():

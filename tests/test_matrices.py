@@ -6,16 +6,17 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from schur2.matrices import (
     as_exact,
     bareiss_rank,
     exact_rank,
+    first_dependency,
     identity,
     is_integral,
     mat_equal,
     matmul,
-    matvec,
     min_poly,
     zeros,
 )
@@ -49,8 +50,21 @@ def test_matmul_matches_numpy_on_big_ints():
 def test_matvec():
     a = _obj([[1, 2], [3, 4]])
     v = _obj([Fraction(1, 2), 1])
-    out = matvec(a, v)
+    out = matmul(a, v)
     assert list(out) == [Fraction(5, 2), Fraction(11, 2)]
+
+
+def test_first_dependency():
+    # v2 = v0 + 2 v1 is the first dependency; later vectors are never drawn.
+    def vectors():
+        yield [Fraction(1), Fraction(0)]
+        yield [Fraction(1), Fraction(1)]
+        yield [Fraction(3), Fraction(2)]
+        raise AssertionError("drew a vector past the first dependency")
+
+    assert first_dependency(vectors()) == ptrim([-1, -2, 1])
+    with pytest.raises(ValueError):
+        first_dependency([[Fraction(1), Fraction(0)]])
 
 
 def test_rank_known_cases():

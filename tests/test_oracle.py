@@ -8,12 +8,17 @@ engine is a genuine cross-check rather than the same code run twice.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schur2
 import schur2.algebra as algebra
 import schur2.elements as elements
 from schur2.algebra import SchurContext, basis, dimension, structure_constants
@@ -235,29 +240,64 @@ def test_verify_suite_oracle_selection():
 
 
 def test_verify_suite_catches_injected_sign_error():
-    # Flip one sign deep in the straightening table and make sure the whole
-    # battery actually notices; then restore and confirm it is green again.
-    original = elements._cross
+    # Flip one sign in each engine's collision table and make sure the battery
+    # notices: the U-mode table feeds the symbolic relation residues, the
+    # truncated one feeds the structure constants. Then restore and confirm
+    # it is green again.
+    original_cross = elements._cross
 
-    def corrupted(flavor, c, a):
-        rows = original(flavor, c, a)
+    def corrupted_cross(flavor, c, a):
+        rows = original_cross(flavor, c, a)
         if c >= 1 and a >= 1:
             coef, aa, cc, mid = rows[-1]
             rows = rows[:-1] + ((-coef, aa, cc, mid),)
         return rows
 
-    elements._cross = corrupted
-    algebra._collision_table.cache_clear()
+    elements._cross = corrupted_cross
     try:
-        report = verify_suite(2)
-        assert not report.all_passed
-        failing = {c.name for c in report.checks if not c.passed}
+        failing = {c.name for c in verify_suite(2).checks if not c.passed}
         assert "relations:symbolic" in failing
+    finally:
+        elements._cross = original_cross
+
+    original_collision = algebra._collision_table
+
+    def corrupted_collision(d, b, c, a2, b2):
+        rows = original_collision(d, b, c, a2, b2)
+        if c >= 1 and a2 >= 1:
+            aa, cc, mid = rows[-1]
+            m, q = mid[-1]
+            rows = rows[:-1] + ((aa, cc, mid[:-1] + ((m, -q),)),)
+        return rows
+
+    original_collision.cache_clear()
+    algebra._collision_table = corrupted_collision
+    try:
+        failing = {c.name for c in verify_suite(2).checks if not c.passed}
         assert failing & {"products:tensor", "products:weight"}
     finally:
-        elements._cross = original
-        algebra._collision_table.cache_clear()
+        algebra._collision_table = original_collision
+        original_collision.cache_clear()
     assert verify_suite(2).all_passed
+
+
+def test_checked_int64_guard_survives_optimize_flag():
+    # 2x2 matrices of 2**40 have products 2 * 2**80, which wrap to 0 in int64;
+    # the guard must raise even with assertions stripped by python -O.
+    code = (
+        "import numpy as np\n"
+        "from schur2.oracle import _checked_matmul_i64\n"
+        "a = np.full((2, 2), 2**40, dtype=np.int64)\n"
+        "try:\n"
+        "    _checked_matmul_i64(a, a)\n"
+        "except OverflowError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(schur2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_derived_matrices_never_share_storage():

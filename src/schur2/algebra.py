@@ -156,13 +156,21 @@ def _collision_table(
     return tuple(out)
 
 
+def _own_var_terms(x: Element, d: int) -> dict[Monomial, Scalar]:
+    """x as {(a, b, c): coeff} in the flavor's own H; substitutes only if needed."""
+    off = 1 if x.flavor is Flavor.FHE else 2
+    if any(key[off] for key in x.terms):
+        x = substitute_offvar(x, d)
+    return x.single_var_terms()
+
+
 def mul_bd(x: Element, y: Element, ctx: SchurContext) -> Element:
     """Product in the truncated algebra; equals normalize(mul(x, y))."""
     if x.flavor is not ctx.flavor or y.flavor is not ctx.flavor:
         raise ValueError("flavor mismatch with context")
     d, flavor = ctx.d, ctx.flavor
-    xs = substitute_offvar(x, d).single_var_terms()
-    ys = substitute_offvar(y, d).single_var_terms()
+    xs = _own_var_terms(x, d)
+    ys = _own_var_terms(y, d)
     out: dict[tuple[int, int, int, int], Scalar] = {}
     for (a, b, c), qx in xs.items():
         for (a2, b2, c2), qy in ys.items():

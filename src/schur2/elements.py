@@ -189,7 +189,8 @@ def _cross(flavor: Flavor, c: int, a: int) -> tuple[tuple[int, int, int, tuple[t
         mid = []
         for key, coef in sorted(poly.items()):
             q, r = divmod(coef, fact)
-            assert r == 0, "collision expansion must be integral"
+            if r:
+                raise ArithmeticError("collision expansion must be integral")
             if q:
                 mid.append((key, q))
         if mid:

@@ -5,11 +5,22 @@ int64 only when an a priori bound proves no overflow can occur, and otherwise
 the code falls back to object-dtype arrays of Python ints/Fractions. No
 floating point anywhere.
 
-Rank is computed by fraction-free (Bareiss) elimination. For large integer
-matrices a mod-p full-row-rank certificate is tried first: if the residue
-matrix mod p has rank equal to the row count then so does the rational matrix
-(rank can only drop under reduction), which is an exact conclusion; anything
-short of that certificate falls back to Bareiss on the exact entries.
+Rank is exact. For an integral matrix with m rows, `exact_rank` first tries
+to certify full row rank mod p in three steps, all in bounded int64:
+
+1. Column selection: each column gets a fingerprint, its residue mod p dotted
+   with fixed row weights; the first column of each distinct nonzero
+   fingerprint is kept. Any column subset S gives rank(M[:,S]) <= rank(M) <= m,
+   so a fingerprint collision can cost speed, never correctness.
+2. Block split: the residues of the kept columns split into the connected
+   components of their row/column nonzero graph (numpy label propagation),
+   and rank adds over the components.
+3. Certificate: each component is eliminated mod p. If all have full row
+   rank, so has M mod p, hence M over Q (a nonzero minor mod p is a nonzero
+   integer minor), and the rank is m exactly.
+
+When the certificate fails, and for non-integral input, fraction-free
+(Bareiss) elimination on the full exact matrix decides.
 
 Minimal polynomials come from Krylov sequences: the lcm of the relative
 minimal polynomials of standard basis vectors, skipping seeds the current
@@ -30,6 +41,8 @@ from .qpoly import Poly, plcm, pmonic, ptrim
 
 _INT64_SAFE = 2**62
 _CERT_PRIME = 2**31 - 1
+_FINGERPRINT_SEED = 20000
+_CHUNK_ENTRIES = 1 << 20
 
 
 def as_exact(rows: Sequence[Sequence[int | Fraction]]) -> np.ndarray:
@@ -125,7 +138,8 @@ def bareiss_rank(a: np.ndarray) -> int:
             for k in range(c + 1, n):
                 num = pivot * ri[k] - ric * rr[k]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss exact division failed"
+                if rem:
+                    raise ArithmeticError("Bareiss exact division failed")
                 ri[k] = q
             ri[c] = 0
         prev = pivot
@@ -136,47 +150,107 @@ def bareiss_rank(a: np.ndarray) -> int:
     return rank
 
 
-def _modp_rank(a: np.ndarray, p: int = _CERT_PRIME) -> int:
-    """Rank of the residue matrix mod p (a lower bound for the exact rank)."""
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """Entries of an integral matrix mod p, as int64 in [0, p)."""
+    if a.dtype == object:
+        return np.array([[int(x) % p for x in row] for row in a], dtype=np.int64)
+    return a % p
+
+
+def _distinct_columns(a: np.ndarray, p: int) -> np.ndarray:
+    """Indices of the first column of each distinct nonzero fingerprint mod p.
+
+    Rows are reduced a chunk at a time, so no second full-size copy of `a` is
+    made. Weights and residues are below p < 2**31, so each product is below
+    2**62, and it is reduced mod p before at most 2**20 of them are summed.
+    """
     m, n = a.shape
-    if m == 0 or n == 0:
-        return 0
-    red = np.empty((m, n), dtype=np.int64)
-    for i in range(m):
-        red[i] = [int(x) % p for x in a[i]]
+    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(1, p, size=m)
+    fingerprint = np.zeros(n, dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // n)
+    for i in range(0, m, step):
+        part = _residues(a[i : i + step], p) * weights[i : i + step, None] % p
+        fingerprint = (fingerprint + part.sum(axis=0)) % p
+    values, first = np.unique(fingerprint, return_index=True)
+    return np.sort(first[values != 0])
+
+
+def _components(nonzero: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column index sets of the connected components of a pattern.
+
+    Rows are nodes 0..m-1 and columns m..m+k-1, joined where the pattern is
+    nonzero. Each round hooks the root of every edge end onto the smaller
+    root and then jumps every node to its root, until nothing moves.
+    """
+    m, k = nonzero.shape
+    u, v = np.nonzero(nonzero)
+    v = v + m
+    label = np.arange(m + k)
+    while True:
+        low = np.minimum(label[u], label[v])
+        new = label.copy()
+        np.minimum.at(new, label[u], low)
+        np.minimum.at(new, label[v], low)
+        while True:
+            up = new[new]
+            if np.array_equal(up, new):
+                break
+            new = up
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    return [(g[g < m], g[g >= m] - m) for g in groups]
+
+
+def _modp_rank(red: np.ndarray, p: int) -> int:
+    """Rank of a residue matrix (int64 entries in [0, p)) over GF(p); modifies red."""
+    m, n = red.shape
     r = 0
     for c in range(n):
-        nz = np.nonzero(red[r:, c])[0]
+        nz = np.flatnonzero(red[r:, c])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             red[[r, piv]] = red[[piv, r]]
-        inv = pow(int(red[r, c]), p - 2, p)
-        red[r] = (red[r] * inv) % p
-        col = red[r + 1 :, c].copy()
-        if col.size:
-            red[r + 1 :] = (red[r + 1 :] - col[:, None] * red[r][None, :]) % p
+        red[r, c:] = red[r, c:] * pow(int(red[r, c]), p - 2, p) % p
+        red[r + 1 :, c:] = (red[r + 1 :, c:] - red[r + 1 :, c, None] * red[r, c:]) % p
         r += 1
         if r == m:
             break
     return r
 
 
+def _full_row_rank_mod_p(a: np.ndarray) -> bool:
+    """Whether the selected columns of an integral `a` have full row rank mod p."""
+    p = _CERT_PRIME
+    red = _residues(a[:, _distinct_columns(a, p)], p)
+    return all(
+        _modp_rank(red[np.ix_(rows, cols)], p) == rows.size
+        for rows, cols in _components(red != 0)
+    )
+
+
 def exact_rank(a: np.ndarray) -> int:
     """Exact rank over Q.
 
-    Small matrices go straight to Bareiss. Large integer matrices first try
-    the mod-p certificate: a full-row-rank residue proves full rational rank
-    exactly; otherwise Bareiss on the exact entries decides.
+    Integral input (any integer dtype, or object ints) first tries the mod-p
+    certificate of full row rank: select columns by fingerprint, split them
+    into the blocks of their nonzero pattern, and eliminate each block mod p.
+    If every block has full row rank, the answer is the row count, exactly.
+    Otherwise, and for Fraction entries, Bareiss elimination on the full
+    exact matrix gives the rank.
     """
-    a = np.asarray(a, dtype=object)
+    a = np.asarray(a)
+    if a.dtype != object:
+        # The residue arithmetic is int64; a dtype int64 cannot hold goes exact.
+        a = a.astype(np.int64 if np.can_cast(a.dtype, np.int64) else object, copy=False)
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    if m * n <= 250_000 or not is_integral(a):
-        return bareiss_rank(a)
-    if _modp_rank(a) == m:
+    if is_integral(a) and _full_row_rank_mod_p(a):
         return m
     return bareiss_rank(a)
 
@@ -262,7 +336,8 @@ def min_poly(a: np.ndarray) -> Poly:
     """
     a = np.asarray(a, dtype=object)
     n = a.shape[0]
-    assert a.shape == (n, n), "matrix must be square"
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
     a64 = None
     max_a = 0
     if is_integral(a):

@@ -176,8 +176,7 @@ def images_int64(monos: list[Monomial], rep: Rep, flavor: Flavor = Flavor.FHE) -
 
 def rank_of_images(monos: list[Monomial], rep: Rep, flavor: Flavor = Flavor.FHE) -> int:
     """Exact rank of the span of the flattened monomial images."""
-    stack = images_int64(monos, rep, flavor).reshape(len(monos), -1)
-    return matrices.exact_rank(stack.astype(object))
+    return matrices.exact_rank(images_int64(monos, rep, flavor).reshape(len(monos), -1))
 
 
 def matrix_min_poly(mat: np.ndarray) -> Poly:

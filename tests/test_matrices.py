@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schur2
+from schur2 import matrices
+from schur2.algebra import SchurContext, basis
 from schur2.matrices import (
     as_exact,
     bareiss_rank,
@@ -20,6 +27,7 @@ from schur2.matrices import (
     min_poly,
     zeros,
 )
+from schur2.oracle import images_int64, tensor_rep, weight_rep
 from schur2.qpoly import peval, pfrom_roots, pmul, ptrim
 
 
@@ -105,6 +113,53 @@ def test_exact_rank_agrees_with_bareiss():
         a = _obj([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
         assert exact_rank(a) == bareiss_rank(a)
 
+    def rand_rows(m, n, lo=-9, hi=9):
+        return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+    # Block diagonal, one block singular: the split must not hide the defect.
+    blocks = [rand_rows(3, 3), [[1, 2, 3], [2, 4, 6], [0, 1, 1]], rand_rows(2, 4)]
+    block_diag = zeros(8, 10)
+    r = c = 0
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            block_diag[r + i, c : c + len(row)] = row
+        r, c = r + len(blk), c + len(blk[0])
+    cases = [block_diag]
+    # Duplicate and all-zero columns around a full-rank core.
+    core = rand_rows(4, 4)
+    cases.append(_obj([[0, row[0], row[1], row[0], 0, row[2], row[3], row[1]] for row in core]))
+    # Full rank, but one row vanishes mod 2**31 - 1, which forces the fallback.
+    p = 2**31 - 1
+    wide = rand_rows(4, 7)
+    wide.append([p * rng.randint(1, 5) for _ in range(7)])
+    cases.append(_obj(wide))
+    # int64 input: a generic matrix, one with entries near 2**62 and one with a
+    # repeated row.
+    cases.append(np.array(rand_rows(5, 9), dtype=np.int64))
+    cases.append(np.array(rand_rows(4, 6, -(2**62), 2**62), dtype=np.int64))
+    twice = rand_rows(3, 5)
+    cases.append(np.array(twice + [twice[1]], dtype=np.int64))
+    # Object input with entries above 2**63, full rank and rank deficient.
+    big = [[2**64 + x for x in row] for row in rand_rows(3, 4)]
+    cases.append(_obj(big))
+    cases.append(_obj([[2**70, 3, -(2**65)], [2**71, 6, -(2**66)]]))
+    for a in cases:
+        assert exact_rank(a) == bareiss_rank(a)
+    assert [exact_rank(a) for a in cases[:3]] == [7, 4, 5]
+    assert exact_rank(cases[-1]) == 1
+
+
+def test_exact_rank_certifies_full_rank_without_bareiss(monkeypatch):
+    # Full-rank oracle images must be decided by the mod-p certificate alone.
+    def no_bareiss(a):
+        raise AssertionError("fell back to Bareiss")
+
+    monkeypatch.setattr(matrices, "bareiss_rank", no_bareiss)
+    for rep in (weight_rep(6), tensor_rep(4)):
+        monos = basis(SchurContext(rep.d))
+        stack = images_int64(monos, rep).reshape(len(monos), -1)
+        assert exact_rank(stack) == len(monos)
+
 
 def test_exact_rank_wide_integer_matrix():
     rng = random.Random(41)
@@ -124,6 +179,29 @@ def test_min_poly_base_cases():
     assert min_poly(diag) == pfrom_roots([2, 5])
     nil = _obj([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert min_poly(nil) == ptrim([0, 0, 0, 1])
+
+
+def test_min_poly_rejects_non_square_under_optimize_flag():
+    with pytest.raises(ValueError, match="square"):
+        min_poly(zeros(2, 3))
+    # The check must survive python -O, which strips assert statements.
+    # Without it a 2x3 matrix fails later in a numpy shape error, and a 0x3
+    # matrix returns the polynomial 1.
+    code = (
+        "from schur2.matrices import min_poly, zeros\n"
+        "for shape in ((2, 3), (0, 3)):\n"
+        "    try:\n"
+        "        min_poly(zeros(*shape))\n"
+        "    except ValueError as e:\n"
+        "        if 'square' not in str(e):\n"
+        "            raise\n"
+        "    else:\n"
+        "        raise SystemExit(f'no error for shape {shape}')\n"
+    )
+    src = str(Path(schur2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_min_poly_fractions():

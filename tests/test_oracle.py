@@ -173,6 +173,9 @@ def test_rank_of_images_matches_dimension():
         monos = basis(SchurContext(d))
         assert rank_of_images(monos, tensor_rep(d)) == dimension(d)
         assert rank_of_images(monos, weight_rep(d)) == dimension(d)
+        # A repeated image defeats the full-row-rank certificate; the
+        # Bareiss fallback must still return the exact rank.
+        assert rank_of_images(monos + [monos[0]], weight_rep(d)) == dimension(d)
     assert rank_of_images([(0, 0, 0)], tensor_rep(2)) == 1
 
 

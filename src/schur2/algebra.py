@@ -164,31 +164,34 @@ def _own_var_terms(x: Element, d: int) -> dict[Monomial, Scalar]:
     return x.single_var_terms()
 
 
+def _add_product(out: dict[Monomial, Scalar], d: int, q: Scalar, x: Monomial, y: Monomial) -> None:
+    """Add q * x * y, reduced onto the basis, into out (own-variable triples)."""
+    a, b, c = x
+    a2, b2, c2 = y
+    for aa, cc, middle in _collision_table(d, b, c, a2, b2):
+        big_a, big_c = a + aa, cc + c2
+        scal = q * comb(big_a, a) * comb(big_c, cc)
+        for m, mc in middle:
+            qm = scal * mc
+            for mono, coef in _reduce_table(d, big_a, m, big_c):
+                v = out.get(mono, 0) + qm * coef
+                if v:
+                    out[mono] = v
+                else:
+                    out.pop(mono, None)
+
+
 def mul_bd(x: Element, y: Element, ctx: SchurContext) -> Element:
     """Product in the truncated algebra; equals normalize(mul(x, y))."""
     if x.flavor is not ctx.flavor or y.flavor is not ctx.flavor:
         raise ValueError("flavor mismatch with context")
     d, flavor = ctx.d, ctx.flavor
-    xs = _own_var_terms(x, d)
-    ys = _own_var_terms(y, d)
-    out: dict[tuple[int, int, int, int], Scalar] = {}
-    for (a, b, c), qx in xs.items():
-        for (a2, b2, c2), qy in ys.items():
-            qxy = qx * qy
-            for aa, cc, middle in _collision_table(d, b, c, a2, b2):
-                big_a, big_c = a + aa, cc + c2
-                scal = qxy * binom(big_a, a) * binom(big_c, cc)
-                if scal == 0:
-                    continue
-                for m, mc in middle:
-                    for mono, coef in _reduce_table(d, big_a, m, big_c):
-                        key = _flavor_key(flavor, *mono)
-                        v = out.get(key, 0) + scal * mc * coef
-                        if v:
-                            out[key] = v
-                        else:
-                            out.pop(key, None)
-    return Element(flavor, out)
+    ys = _own_var_terms(y, d).items()
+    out: dict[Monomial, Scalar] = {}
+    for xm, qx in _own_var_terms(x, d).items():
+        for ym, qy in ys:
+            _add_product(out, d, qx * qy, xm, ym)
+    return Element(flavor, {_flavor_key(flavor, *mono): q for mono, q in out.items()})
 
 
 @dataclass
@@ -209,19 +212,17 @@ class StructureTable:
 
 
 def structure_constants(ctx: SchurContext) -> StructureTable:
-    """mul_bd over all ordered basis pairs, as coefficient lists."""
+    """Products of all ordered basis pairs, by mul_bd's kernel on the triples."""
+    d = ctx.d
     monos = basis(ctx)
     index = {mono: k for k, mono in enumerate(monos)}
-    elems = [Element.monomial(a, b, c, ctx.flavor) for (a, b, c) in monos]
     products: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
-    for i, xi in enumerate(elems):
-        for j, yj in enumerate(elems):
-            prod = mul_bd(xi, yj, ctx)
-            entry = sorted(
-                (index[mono], q) for mono, q in prod.single_var_terms().items()
-            )
-            products[(i, j)] = tuple(entry)
-    return StructureTable(ctx.d, ctx.flavor, tuple(monos), products)
+    for i, x in enumerate(monos):
+        for j, y in enumerate(monos):
+            out: dict[Monomial, Scalar] = {}
+            _add_product(out, d, 1, x, y)
+            products[(i, j)] = tuple(sorted((index[mono], q) for mono, q in out.items()))
+    return StructureTable(d, ctx.flavor, tuple(monos), products)
 
 
 # -- basis conversions -----------------------------------------------------

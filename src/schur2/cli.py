@@ -4,7 +4,9 @@ Subcommands: normalize (parse, normalize, print in a chosen basis), table
 (emit the structure-constant table as JSON or CSV), verify (run the
 cross-validation suite, exit 0 only if everything passes), and the small
 lookups dim, minpoly and basis. Exit codes: 0 success, 1 failed check or I/O
-error, 2 usage or parse error. Output is deterministic for fixed inputs.
+error, 2 usage or parse error, 3 internal arithmetic error (ArithmeticError,
+including the int64 OverflowError guards) or MemoryError, reported as one line
+`error: <type>: <message>`. Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
+from typing import TextIO
 
 from . import algebra, oracle
 from .algebra import SchurContext, StructureTable
@@ -57,24 +59,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _table_document(table: StructureTable) -> dict:
-    def coeff(q) -> tuple[str, str]:
-        q = Fraction(q)
-        return str(q.numerator), str(q.denominator)
+_BASIS_ROW = '    {\n      "a": %d,\n      "b": %d,\n      "c": %d\n    }'
+_PRODUCT_ROW = '    {\n      "i": %d,\n      "j": %d,\n      "terms": %s\n    }'
+_TERM = '        {\n          "k": %d,\n          "num": "%d",\n          "den": "%d"\n        }'
 
-    products = []
+
+def _write_table_json(table: StructureTable, fh: TextIO) -> None:
+    """The bytes of json.dump(document, fh, indent=2) + "\\n", written row by row.
+
+    The document is {d, flavor, basis: [{a, b, c}], products: [{i, j, terms:
+    [{k, num, den}]}]}, products sorted by (i, j); basis and products are nonempty.
+    """
+    fh.write('{\n  "d": %d,\n  "flavor": "%s",\n  "basis": [\n' % (table.d, table.flavor.value))
+    fh.write(",\n".join(_BASIS_ROW % mono for mono in table.basis))
+    sep = '\n  ],\n  "products": [\n'
     for i, j in sorted(table.products):
-        terms = []
-        for k, q in table.products[(i, j)]:
-            num, den = coeff(q)
-            terms.append({"k": k, "num": num, "den": den})
-        products.append({"i": i, "j": j, "terms": terms})
-    return {
-        "d": table.d,
-        "flavor": table.flavor.value,
-        "basis": [{"a": a, "b": b, "c": c} for (a, b, c) in table.basis],
-        "products": products,
-    }
+        terms = ",\n".join(_TERM % (k, q.numerator, q.denominator) for k, q in table.products[(i, j)])
+        fh.write(sep + _PRODUCT_ROW % (i, j, f"[\n{terms}\n      ]" if terms else "[]"))
+        sep = ",\n"
+    fh.write("\n  ]\n}\n")
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -95,15 +98,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     table = algebra.structure_constants(ctx)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if args.fmt == "json":
-            json.dump(_table_document(table), fh, indent=2)
-            fh.write("\n")
+            _write_table_json(table, fh)
         else:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["i", "j", "k", "num", "den"])
             for i, j in sorted(table.products):
                 for k, q in table.products[(i, j)]:
-                    q = Fraction(q)
-                    writer.writerow([i, j, k, str(q.numerator), str(q.denominator)])
+                    writer.writerow([i, j, k, q.numerator, q.denominator])
     return 0
 
 
@@ -164,6 +165,9 @@ def entry(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ArithmeticError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

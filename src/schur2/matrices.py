@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -255,13 +255,13 @@ def exact_rank(a: np.ndarray) -> int:
     return bareiss_rank(a)
 
 
-def _poly_matvec(p: Poly, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """p(a) applied to v by Horner; exact."""
+def _poly_matvec(p: Poly, apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
+    """p(a) applied to v by Horner, where apply(w) = a @ w; exact."""
     n = len(v)
     w = np.zeros(n, dtype=object)
     w[...] = 0
     for c in reversed(p):
-        w = matmul(a, w)
+        w = apply(w)
         if c != 0:
             w = w + v * (int(c) if c.denominator == 1 else c)
     return w
@@ -298,14 +298,14 @@ def first_dependency(vectors: Iterable[Sequence[Fraction]]) -> Poly:
     raise ValueError("sequence ended before a linear dependency")
 
 
-def _relative_min_poly(a: np.ndarray, v: np.ndarray) -> Poly:
+def _relative_min_poly(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> Poly:
     """Monic generator of {p : p(a) v = 0} via Krylov linear dependence."""
 
     def krylov():
         w = v
         while True:
             yield [Fraction(x) for x in w]
-            w = matmul(a, w)
+            w = apply(w)
 
     return first_dependency(krylov())
 
@@ -344,6 +344,13 @@ def min_poly(a: np.ndarray) -> Poly:
         max_a = max_abs(a)
         if int64_safe(n, max_a, 1):
             a64 = np.array([[int(x) for x in row] for row in a], dtype=np.int64)
+
+    def apply(w: np.ndarray) -> np.ndarray:
+        # matmul(a, w), with the scan of a done once above.
+        if a64 is not None and is_integral(w) and int64_safe(n, max_a, max_abs(w)):
+            return (a64 @ w.astype(np.int64)).astype(object)
+        return a.dot(w)
+
     acc: Poly = ptrim([1])
     for s in range(n):
         killed = None
@@ -353,11 +360,11 @@ def min_poly(a: np.ndarray) -> Poly:
             v = np.zeros(n, dtype=object)
             v[...] = 0
             v[s] = 1
-            killed = not any(_poly_matvec(acc, a, v))
+            killed = not any(_poly_matvec(acc, apply, v))
         if killed:
             continue
         v = np.zeros(n, dtype=object)
         v[...] = 0
         v[s] = 1
-        acc = plcm(acc, _relative_min_poly(a, v))
+        acc = plcm(acc, _relative_min_poly(apply, v))
     return acc

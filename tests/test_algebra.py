@@ -203,6 +203,25 @@ def test_structure_constants_identity_rows():
             assert table.products[(j, 0)] == ((j, 1),)
 
 
+def test_structure_constants_match_mul_bd_pairwise():
+    # structure_constants runs the product kernel on basis triples directly;
+    # the reference builds every entry from mul_bd on basis elements.
+    for flavor in Flavor:
+        for d in range(6):
+            ctx = SchurContext(d, flavor)
+            monos = basis(ctx)
+            index = {mono: k for k, mono in enumerate(monos)}
+            elems = [Element.monomial(*mono, flavor) for mono in monos]
+            expected = {
+                (i, j): tuple(
+                    sorted((index[m], q) for m, q in mul_bd(x, y, ctx).single_var_terms().items())
+                )
+                for i, x in enumerate(elems)
+                for j, y in enumerate(elems)
+            }
+            assert structure_constants(ctx).products == expected, (flavor, d)
+
+
 def test_structure_constants_integral():
     for d in range(5):
         assert structure_constants(SchurContext(d)).is_integral()

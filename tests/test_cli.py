@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from schur2 import algebra
-from schur2.cli import entry
+from schur2.algebra import SchurContext, StructureTable
+from schur2.cli import _write_table_json, entry
 from schur2.elements import Flavor
 from schur2.exprs import parse_element
 
@@ -161,6 +166,82 @@ def test_table_output_deterministic(capsys, tmp_path):
     _run(capsys, "table", "--d", "2", "--out", str(c), "--format", "csv")
     _run(capsys, "table", "--d", "2", "--out", str(e), "--format", "csv")
     assert c.read_bytes() == e.read_bytes()
+
+
+def _table_document(table: StructureTable) -> dict:
+    """The JSON table as a document, the layout the writer must reproduce."""
+
+    def coeff(q) -> tuple[str, str]:
+        q = Fraction(q)
+        return str(q.numerator), str(q.denominator)
+
+    products = []
+    for i, j in sorted(table.products):
+        terms = []
+        for k, q in table.products[(i, j)]:
+            num, den = coeff(q)
+            terms.append({"k": k, "num": num, "den": den})
+        products.append({"i": i, "j": j, "terms": terms})
+    return {
+        "d": table.d,
+        "flavor": table.flavor.value,
+        "basis": [{"a": a, "b": b, "c": c} for (a, b, c) in table.basis],
+        "products": products,
+    }
+
+
+def test_table_writer_matches_json_dump():
+    tables = [
+        algebra.structure_constants(SchurContext(d, flavor))
+        for flavor in Flavor
+        for d in range(6)
+    ]
+    tables.append(
+        StructureTable(
+            7,
+            Flavor.EHF,
+            ((0, 0, 0), (1, 2, 3)),
+            {
+                (1, 0): ((0, Fraction(-3, 4)), (1, 2**64 + 1)),
+                (0, 1): ((1, -5), (0, Fraction(7, 2))),
+                (0, 0): (),
+                (1, 1): ((0, -(2**63) - 3),),
+            },
+        )
+    )
+    for table in tables:
+        fh = io.StringIO()
+        _write_table_json(table, fh)
+        expected = json.dumps(_table_document(table), indent=2) + "\n"
+        assert fh.getvalue() == expected, (table.d, table.flavor)
+
+
+def test_table_json_matches_frozen_digest(capsys, tmp_path):
+    frozen = Path(__file__).resolve().parents[1] / "benchmarks" / "frozen.json"
+    out_path = tmp_path / "d3.json"
+    code, _, _ = _run(capsys, "table", "--d", "3", "--out", str(out_path))
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == json.loads(frozen.read_text())["table"]["3"]
+
+
+def test_internal_error_exit_code(capsys, monkeypatch, tmp_path):
+    errors = [
+        OverflowError("int64 bound exceeded"),
+        ArithmeticError("Bareiss exact division failed"),
+        MemoryError("cannot allocate"),
+    ]
+    for exc in errors:
+
+        def fail(ctx, _exc=exc):
+            raise _exc
+
+        monkeypatch.setattr(algebra, "structure_constants", fail)
+        out_path = tmp_path / "t.json"
+        code, out, err = _run(capsys, "table", "--d", "1", "--out", str(out_path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {type(exc).__name__}: {exc}\n"
+        assert not out_path.exists()
 
 
 def test_parse_error_exit_code(capsys):

@@ -181,6 +181,31 @@ def test_min_poly_base_cases():
     assert min_poly(nil) == ptrim([0, 0, 0, 1])
 
 
+def test_min_poly_scans_the_matrix_once(monkeypatch):
+    # Integrality and the entry bound of the matrix are found once per call
+    # and passed down, not rescanned at every Krylov or Horner step.
+    counts = {"is_integral": 0, "max_abs": 0}
+    for name in counts:
+
+        def counted(x, _name=name, _original=getattr(matrices, name)):
+            if np.ndim(x) == 2:
+                counts[_name] += 1
+            return _original(x)
+
+        monkeypatch.setattr(matrices, name, counted)
+    companion = _obj([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-2, 3, 1, 1]])
+    # Diagonal entries near 2**40 make the int64 annihilation test give up,
+    # so the exact Horner path runs as well.
+    diag = [2**40, 2**40 + 1, -(2**40), 3]
+    triangular = _obj([[diag[i] if i == j else max(j - i, 0) for j in range(4)] for i in range(4)])
+    cases = ((companion, ptrim([2, -3, -1, -1, 1])), (triangular, pfrom_roots(diag)))
+    for a, expected in cases:
+        for name in counts:
+            counts[name] = 0
+        assert min_poly(a) == expected
+        assert counts == {"is_integral": 1, "max_abs": 1}
+
+
 def test_min_poly_rejects_non_square_under_optimize_flag():
     with pytest.raises(ValueError, match="square"):
         min_poly(zeros(2, 3))

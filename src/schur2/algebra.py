@@ -341,13 +341,10 @@ def min_poly(x: Element, ctx: SchurContext) -> Poly:
     def powers():
         power = Element.one(ctx.flavor)
         while True:
-            vec = [Fraction(0)] * len(monos)
-            for mono, q in power.single_var_terms().items():
-                vec[index[mono]] = Fraction(q)
-            yield vec
+            yield {index[mono]: q for mono, q in power.single_var_terms().items()}
             power = mul_bd(power, y, ctx)
 
-    return matrices.first_dependency(powers())
+    return matrices.first_dependency(powers(), len(monos))
 
 
 def expected_h_var_min_poly(d: int) -> Poly:

@@ -28,7 +28,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .ivpoly import (
     IVPoly,
@@ -440,12 +440,34 @@ def render_scalar(q: Scalar) -> str:
     return str(q)
 
 
+def render_terms(terms: Iterable[tuple[Scalar, str]]) -> str:
+    """Signed sum of (coefficient, monomial) terms, e.g. "-E(1) + 1/2*F(1) - 3".
+
+    An empty monomial is a constant term; zero coefficients are skipped, and
+    a sum with no terms is "0".
+    """
+    out = ""
+    for q, mono in terms:
+        if not q:
+            continue
+        mag = -q if q < 0 else q
+        if not mono:
+            body = render_scalar(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{render_scalar(mag)}*{mono}"
+        if out:
+            out += (" - " if q < 0 else " + ") + body
+        else:
+            out = ("-" if q < 0 else "") + body
+    return out or "0"
+
+
 def render_element(x: Element) -> str:
     """Grammar-compatible rendering; terms in lexicographic key order."""
-    if x.is_zero():
-        return "0"
     left, right = x.flavor.letters
-    parts: list[tuple[bool, str]] = []  # (negative, magnitude string)
+    parts: list[tuple[Scalar, str]] = []
     for (a, b1, b2, c), q in x.sorted_terms():
         factors = []
         if a:
@@ -456,20 +478,5 @@ def render_element(x: Element) -> str:
             factors.append(f"binom(H2,{b2})")
         if c:
             factors.append(f"{right.upper()}({c})")
-        mono = "*".join(factors)
-        neg = q < 0
-        mag = -q if neg else q
-        if not mono:
-            body = render_scalar(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{render_scalar(mag)}*{mono}"
-        parts.append((neg, body))
-    pieces = []
-    for i, (neg, body) in enumerate(parts):
-        if i == 0:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(pieces)
+        parts.append((q, "*".join(factors)))
+    return render_terms(parts)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .elements import Element, Flavor, Scalar, mul, render_scalar
+from .elements import Element, Flavor, Scalar, mul, render_terms
 
 
 class ParseError(ValueError):
@@ -268,31 +268,13 @@ def render_plain_terms(
     the output re-parses to the same element.
     """
     left, right = flavor.letters
-    parts: list[tuple[bool, str]] = []
+    parts: list[tuple[Scalar, str]] = []
     for (a, b, c) in sorted(coeffs):
-        q = coeffs[(a, b, c)]
-        if q == 0:
-            continue
         factors = []
         for sym, power in ((left, a), (middle, b), (right, c)):
             if power == 1:
                 factors.append(sym)
             elif power > 1:
                 factors.append(f"{sym}^{power}")
-        body = "*".join(factors)
-        mag = abs(Fraction(q))
-        coeff = render_scalar(mag)
-        if not body:
-            text = coeff
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{coeff}*{body}"
-        parts.append((q < 0, text))
-    if not parts:
-        return "0"
-    first_neg, first = parts[0]
-    out = ("-" if first_neg else "") + first
-    for neg, text in parts[1:]:
-        out += (" - " if neg else " + ") + text
-    return out
+        parts.append((coeffs[(a, b, c)], "*".join(factors)))
+    return render_terms(parts)

@@ -1,4 +1,4 @@
-"""Exact dense matrix arithmetic for the representation oracles.
+"""Exact matrix arithmetic for the representation oracles.
 
 Matrices are numpy arrays. Exactness is non-negotiable: fast paths run in
 int64 only when an a priori bound proves no overflow can occur, and otherwise
@@ -27,13 +27,16 @@ minimal polynomials of standard basis vectors, skipping seeds the current
 candidate already annihilates. The loop terminates with a polynomial that
 kills every basis vector, hence the matrix, and divides the true minimal
 polynomial throughout, so the result is exact and certified by construction.
+The arithmetic is exact and sparse: the matrix is read once into its nonzero
+columns, vectors are {index: value} dicts of Python ints and Fractions, and
+the cost follows the nonzero entries, not the size of the coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -255,116 +258,82 @@ def exact_rank(a: np.ndarray) -> int:
     return bareiss_rank(a)
 
 
-def _poly_matvec(p: Poly, apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
-    """p(a) applied to v by Horner, where apply(w) = a @ w; exact."""
-    n = len(v)
-    w = np.zeros(n, dtype=object)
-    w[...] = 0
-    for c in reversed(p):
-        w = apply(w)
-        if c != 0:
-            w = w + v * (int(c) if c.denominator == 1 else c)
-    return w
-
-
-def first_dependency(vectors: Iterable[Sequence[Fraction]]) -> Poly:
+def first_dependency(vectors: Iterable[dict[int, int | Fraction]], dim: int) -> Poly:
     """Monic c with c_0 v_0 + ... + c_k v_k = 0 for the first dependent prefix.
 
-    Exact elimination keeps each stored row beside the combination of the
-    v_i it came from. The next vector is drawn only after the previous one
-    proved independent, so a lazy Krylov sequence is computed no further
-    than its first dependency.
+    Vectors are sparse, {index: value} with nonzero values, in a space of
+    dimension `dim`. Exact elimination keeps each stored row, pivoted on its
+    smallest index, beside the combination of the v_i it came from. The next
+    vector is drawn only after the previous one proved independent, so a lazy
+    Krylov sequence is computed no further than its first dependency.
     """
-    reduced: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    reduced: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
     for k, vec in enumerate(vectors):
-        vec = list(vec)
-        combo = [Fraction(0)] * k + [Fraction(1)]
+        vec = dict(vec)
+        combo = {k: Fraction(1)}
         for piv, row, row_combo in reduced:
-            fac = vec[piv]
+            fac = vec.get(piv)
             if fac:
-                for i, r in enumerate(row):
-                    if r:
-                        vec[i] -= fac * r
-                for i, r in enumerate(row_combo):
-                    if r:
-                        combo[i] -= fac * r
-        piv = next((i for i, v in enumerate(vec) if v), None)
-        if piv is None:
-            return pmonic(ptrim(combo))
-        if k >= len(vec):
+                _axpy(vec, -fac, row)
+                _axpy(combo, -fac, row_combo)
+        if not vec:
+            return pmonic(ptrim([combo.get(i, 0) for i in range(k + 1)]))
+        if k >= dim:
             raise ArithmeticError("Krylov sequence failed to terminate")
-        inv = 1 / vec[piv]
-        reduced.append((piv, [v * inv for v in vec], [q * inv for q in combo]))
+        piv = min(vec)
+        inv = 1 / Fraction(vec[piv])
+        row = {i: v * inv for i, v in vec.items()}
+        reduced.append((piv, row, {i: q * inv for i, q in combo.items()}))
     raise ValueError("sequence ended before a linear dependency")
 
 
-def _relative_min_poly(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> Poly:
-    """Monic generator of {p : p(a) v = 0} via Krylov linear dependence."""
-
-    def krylov():
-        w = v
-        while True:
-            yield [Fraction(x) for x in w]
-            w = apply(w)
-
-    return first_dependency(krylov())
-
-
-def _annihilates_i64(p_int: list[int], a64: np.ndarray, max_a: int, seed: int) -> bool | None:
-    """Whether p(a) e_seed = 0, in guarded int64; None if a bound would bust."""
-    n = a64.shape[0]
-    w = np.zeros(n, dtype=np.int64)
-    max_w = 0
-    for c in reversed(p_int):
-        if not int64_safe(n, max_a, max_w) or abs(c) >= _INT64_SAFE:
-            return None
-        w = a64 @ w
-        if c:
-            w[seed] += c
-        max_w = int(np.abs(w).max(initial=0))
-    return not w.any()
+def _axpy(y: dict[int, int | Fraction], a: int | Fraction, x: dict[int, int | Fraction]) -> None:
+    """y += a * x on sparse vectors; entries that cancel are dropped."""
+    for i, v in x.items():
+        t = y.get(i, 0) + a * v
+        if t:
+            y[i] = t
+        else:
+            del y[i]
 
 
 def min_poly(a: np.ndarray) -> Poly:
     """Exact minimal polynomial of a square matrix.
 
     Least common multiple of the relative minimal polynomials of the standard
-    basis seeds; seeds the current candidate already annihilates are skipped,
-    and that annihilation test runs in guarded int64 when the matrix and the
-    candidate are integral (the common case: integer matrices have integer
-    monic minimal polynomials).
+    basis seeds, each the first dependency of its Krylov sequence; seeds the
+    current candidate already annihilates (a Horner test) are skipped. The
+    matrix is read once into its nonzero columns, and every mat-vec works on
+    sparse vectors of Python ints and Fractions, so the cost follows the
+    nonzero entries and no coefficient size needs a bound.
     """
-    a = np.asarray(a, dtype=object)
+    a = np.asarray(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    a64 = None
-    max_a = 0
-    if is_integral(a):
-        max_a = max_abs(a)
-        if int64_safe(n, max_a, 1):
-            a64 = np.array([[int(x) for x in row] for row in a], dtype=np.int64)
+    entries = a.tolist()
+    cols = [{i: row[j] for i, row in enumerate(entries) if row[j]} for j in range(n)]
 
-    def apply(w: np.ndarray) -> np.ndarray:
-        # matmul(a, w), with the scan of a done once above.
-        if a64 is not None and is_integral(w) and int64_safe(n, max_a, max_abs(w)):
-            return (a64 @ w.astype(np.int64)).astype(object)
-        return a.dot(w)
+    def apply(v: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
+        out: dict[int, int | Fraction] = {}
+        for j, x in v.items():
+            _axpy(out, x, cols[j])
+        return out
+
+    def krylov(s: int):
+        v = {s: 1}
+        while True:
+            yield v
+            v = apply(v)
 
     acc: Poly = ptrim([1])
     for s in range(n):
-        killed = None
-        if a64 is not None and all(c.denominator == 1 for c in acc):
-            killed = _annihilates_i64([int(c) for c in acc], a64, max_a, s)
-        if killed is None:
-            v = np.zeros(n, dtype=object)
-            v[...] = 0
-            v[s] = 1
-            killed = not any(_poly_matvec(acc, apply, v))
-        if killed:
-            continue
-        v = np.zeros(n, dtype=object)
-        v[...] = 0
-        v[s] = 1
-        acc = plcm(acc, _relative_min_poly(apply, v))
+        w: dict[int, int | Fraction] = {}
+        for c in reversed(acc):
+            w = apply(w)
+            if c:
+                # Integral coefficients as ints keep integer work out of Fractions.
+                _axpy(w, int(c) if c.denominator == 1 else c, {s: 1})
+        if w:
+            acc = plcm(acc, first_dependency(krylov(s), n))
     return acc

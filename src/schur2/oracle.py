@@ -181,7 +181,7 @@ def rank_of_images(monos: list[Monomial], rep: Rep, flavor: Flavor = Flavor.FHE)
 
 def matrix_min_poly(mat: np.ndarray) -> Poly:
     """Exact minimal polynomial of a matrix (int64 or exact-object entries)."""
-    return matrices.min_poly(np.asarray(mat).astype(object))
+    return matrices.min_poly(mat)
 
 
 def relations_hold(ctx: SchurContext, rep: Rep) -> tuple[bool, list[str]]:
@@ -319,7 +319,6 @@ def verify_suite(d: int, oracle: str = "auto", flavor: Flavor = Flavor.FHE) -> V
             f"rank {rank} vs dimension {expected_dim}",
         )
 
-    table = None
     if d <= 8:
         table = algebra.structure_constants(ctx)
         report.add(

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .elements import render_terms
+
 Poly = tuple[Fraction, ...]
 
 
@@ -106,26 +108,6 @@ def pfrom_roots(roots: Sequence[int]) -> Poly:
 
 def prender(p: Poly, var: str = "T") -> str:
     """Deterministic descending-power rendering, e.g. "T^3 - 4*T"."""
-    if not p:
-        return "0"
-    parts: list[tuple[bool, str]] = []
-    for power in range(len(p) - 1, -1, -1):
-        c = p[power]
-        if c == 0:
-            continue
-        neg = c < 0
-        mag = -c if neg else c
-        mag_s = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        if power == 0:
-            body = mag_s
-        else:
-            head = var if power == 1 else f"{var}^{power}"
-            body = head if mag == 1 else f"{mag_s}*{head}"
-        parts.append((neg, body))
-    pieces = []
-    for i, (neg, body) in enumerate(parts):
-        if i == 0:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(pieces)
+    return render_terms(
+        (p[k], "" if k == 0 else var if k == 1 else f"{var}^{k}") for k in reversed(range(len(p)))
+    )

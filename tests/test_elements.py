@@ -284,6 +284,12 @@ def test_render_element():
     assert render_element(Element.zero()) == "0"
     half = Element(Flavor.FHE, {(0, 0, 2, 0): Fraction(1, 2)})
     assert render_element(half) == "1/2*binom(H2,2)"
+    # Negative leading terms, Fraction magnitudes and zero.
+    lead = Element(Flavor.FHE, {(1, 0, 0, 0): -1, (0, 0, 0, 1): Fraction(-3, 2)})
+    assert render_element(lead) == "-3/2*E(1) - F(1)"
+    mixed = Element(Flavor.EHF, {(0, 0, 0, 0): Fraction(-5, 3), (1, 1, 0, 0): Fraction(7, 2)})
+    assert render_element(mixed) == "-5/3 + 7/2*E(1)*binom(H1,1)"
+    assert render_element(Element(Flavor.EHF, {(1, 0, 0, 0): 0})) == "0"
 
 
 def test_ehf_mul_mirrors_fhe():

@@ -166,6 +166,12 @@ def test_render_plain_terms_h_middle():
     assert text == "h^2 - f*e"
     assert render_plain_terms({}, Flavor.FHE, "h") == "0"
     assert render_plain_terms({(0, 0, 0): 0}, Flavor.FHE, "h") == "0"
+    # Negative leading terms, Fraction magnitudes and zero.
+    coeffs = {(0, 1, 0): Fraction(-3, 4), (1, 0, 0): Fraction(4, 2)}
+    assert render_plain_terms(coeffs, Flavor.FHE, "H2") == "-3/4*H2 + 2*f"
+    coeffs = {(0, 0, 0): Fraction(-1), (2, 0, 1): Fraction(-5, 6)}
+    assert render_plain_terms(coeffs, Flavor.EHF, "H1") == "-1 - 5/6*e^2*f"
+    assert render_plain_terms({(1, 0, 0): Fraction(0)}, Flavor.EHF, "H1") == "0"
 
 
 def test_lower_rejects_foreign_objects():

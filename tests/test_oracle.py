@@ -21,7 +21,14 @@ import pytest
 import schur2
 import schur2.algebra as algebra
 import schur2.elements as elements
-from schur2.algebra import SchurContext, basis, dimension, structure_constants
+from schur2.algebra import (
+    SchurContext,
+    basis,
+    dimension,
+    expected_h_min_poly,
+    expected_h_var_min_poly,
+    structure_constants,
+)
 from schur2.elements import Element, Flavor, mul
 from schur2.matrices import is_zero_matrix, mat_equal
 from schur2.oracle import (
@@ -183,6 +190,11 @@ def test_matrix_min_poly_frozen():
     assert matrix_min_poly(tensor_rep(2).generator_matrix("H1")) == ptrim([0, 2, -3, 1])
     assert matrix_min_poly(tensor_rep(1).generator_matrix("h")) == ptrim([-1, 0, 1])
     assert matrix_min_poly(np.zeros((3, 3), dtype=np.int64)) == ptrim([0, 1])
+    # At d=20 the coefficients exceed 2**62.
+    rep = weight_rep(20)
+    assert matrix_min_poly(rep.generator_matrix("H1")) == expected_h_var_min_poly(20)
+    assert matrix_min_poly(rep.generator_matrix("H2")) == expected_h_var_min_poly(20)
+    assert matrix_min_poly(rep.generator_matrix("h")) == expected_h_min_poly(20)
 
 
 def test_relations_hold_in_models():

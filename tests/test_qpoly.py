@@ -89,3 +89,8 @@ def test_render():
     assert prender(()) == "0"
     assert prender(_f(-1, 1)) == "T - 1"
     assert prender((Fraction(1, 2), Fraction(1))) == "T + 1/2"
+    # Negative leading terms, Fraction magnitudes and zero.
+    assert prender((Fraction(1), Fraction(-3, 2))) == "-3/2*T + 1"
+    assert prender(_f(0, 0, -1)) == "-T^2"
+    p = (Fraction(-2, 3), Fraction(0), Fraction(5, 7), Fraction(1))
+    assert prender(p) == "T^3 + 5/7*T^2 - 2/3"

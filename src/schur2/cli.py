@@ -5,7 +5,7 @@ Subcommands: normalize (parse, normalize, print in a chosen basis), table
 cross-validation suite, exit 0 only if everything passes), and the small
 lookups dim, minpoly and basis. Exit codes: 0 success, 1 failed check or I/O
 error, 2 usage or parse error, 3 internal arithmetic error (ArithmeticError,
-including the int64 OverflowError guards) or MemoryError, reported as one line
+such as a failed exact division) or MemoryError, reported as one line
 `error: <type>: <message>`. Output is deterministic for fixed inputs.
 """
 

@@ -6,18 +6,16 @@ the code falls back to object-dtype arrays of Python ints/Fractions. No
 floating point anywhere.
 
 Rank is exact. For an integral matrix with m rows, `exact_rank` first tries
-to certify full row rank mod p in three steps, all in bounded int64:
+to certify full row rank mod p in two steps, all in bounded int64:
 
 1. Column selection: each column gets a fingerprint, its residue mod p dotted
    with fixed row weights; the first column of each distinct nonzero
    fingerprint is kept. Any column subset S gives rank(M[:,S]) <= rank(M) <= m,
    so a fingerprint collision can cost speed, never correctness.
-2. Block split: the residues of the kept columns split into the connected
-   components of their row/column nonzero graph (numpy label propagation),
-   and rank adds over the components.
-3. Certificate: each component is eliminated mod p. If all have full row
-   rank, so has M mod p, hence M over Q (a nonzero minor mod p is a nonzero
-   integer minor), and the rank is m exactly.
+2. Certificate: the kept residues are eliminated mod p, each pivot updating
+   only the rows below it that are nonzero in its column. Full row rank mod p
+   gives full row rank over Q (a nonzero minor mod p is a nonzero integer
+   minor), and the rank is m exactly.
 
 When the certificate fails, and for non-integral input, fraction-free
 (Bareiss) elimination on the full exact matrix decides.
@@ -45,7 +43,6 @@ from .qpoly import Poly, plcm, pmonic, ptrim
 _INT64_SAFE = 2**62
 _CERT_PRIME = 2**31 - 1
 _FINGERPRINT_SEED = 20000
-_CHUNK_ENTRIES = 1 << 20
 
 
 def as_exact(rows: Sequence[Sequence[int | Fraction]]) -> np.ndarray:
@@ -160,51 +157,17 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     return a % p
 
 
-def _distinct_columns(a: np.ndarray, p: int) -> np.ndarray:
+def _distinct_columns(red: np.ndarray, p: int) -> np.ndarray:
     """Indices of the first column of each distinct nonzero fingerprint mod p.
 
-    Rows are reduced a chunk at a time, so no second full-size copy of `a` is
-    made. Weights and residues are below p < 2**31, so each product is below
-    2**62, and it is reduced mod p before at most 2**20 of them are summed.
+    `red` holds residues mod p. Weights and residues are below p < 2**31, so
+    each product is below 2**62, and it is reduced mod p before a column's m
+    of them are summed (m < 2**32).
     """
-    m, n = a.shape
-    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(1, p, size=m)
-    fingerprint = np.zeros(n, dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // n)
-    for i in range(0, m, step):
-        part = _residues(a[i : i + step], p) * weights[i : i + step, None] % p
-        fingerprint = (fingerprint + part.sum(axis=0)) % p
+    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(1, p, size=red.shape[0])
+    fingerprint = (red * weights[:, None] % p).sum(axis=0) % p
     values, first = np.unique(fingerprint, return_index=True)
     return np.sort(first[values != 0])
-
-
-def _components(nonzero: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row and column index sets of the connected components of a pattern.
-
-    Rows are nodes 0..m-1 and columns m..m+k-1, joined where the pattern is
-    nonzero. Each round hooks the root of every edge end onto the smaller
-    root and then jumps every node to its root, until nothing moves.
-    """
-    m, k = nonzero.shape
-    u, v = np.nonzero(nonzero)
-    v = v + m
-    label = np.arange(m + k)
-    while True:
-        low = np.minimum(label[u], label[v])
-        new = label.copy()
-        np.minimum.at(new, label[u], low)
-        np.minimum.at(new, label[v], low)
-        while True:
-            up = new[new]
-            if np.array_equal(up, new):
-                break
-            new = up
-        if np.array_equal(new, label):
-            break
-        label = new
-    order = np.argsort(label, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-    return [(g[g < m], g[g >= m] - m) for g in groups]
 
 
 def _modp_rank(red: np.ndarray, p: int) -> int:
@@ -219,7 +182,9 @@ def _modp_rank(red: np.ndarray, p: int) -> int:
         if piv != r:
             red[[r, piv]] = red[[piv, r]]
         red[r, c:] = red[r, c:] * pow(int(red[r, c]), p - 2, p) % p
-        red[r + 1 :, c:] = (red[r + 1 :, c:] - red[r + 1 :, c, None] * red[r, c:]) % p
+        # Rows below that need the update; the old row r, now at piv, is zero at c.
+        below = r + nz[1:]
+        red[below, c:] = (red[below, c:] - red[below, c, None] * red[r, c:]) % p
         r += 1
         if r == m:
             break
@@ -229,20 +194,16 @@ def _modp_rank(red: np.ndarray, p: int) -> int:
 def _full_row_rank_mod_p(a: np.ndarray) -> bool:
     """Whether the selected columns of an integral `a` have full row rank mod p."""
     p = _CERT_PRIME
-    red = _residues(a[:, _distinct_columns(a, p)], p)
-    return all(
-        _modp_rank(red[np.ix_(rows, cols)], p) == rows.size
-        for rows, cols in _components(red != 0)
-    )
+    red = _residues(a, p)
+    return _modp_rank(red[:, _distinct_columns(red, p)], p) == a.shape[0]
 
 
 def exact_rank(a: np.ndarray) -> int:
     """Exact rank over Q.
 
     Integral input (any integer dtype, or object ints) first tries the mod-p
-    certificate of full row rank: select columns by fingerprint, split them
-    into the blocks of their nonzero pattern, and eliminate each block mod p.
-    If every block has full row rank, the answer is the row count, exactly.
+    certificate of full row rank: select columns by fingerprint and eliminate
+    them mod p. Full row rank there makes the answer the row count, exactly.
     Otherwise, and for Fraction entries, Bareiss elimination on the full
     exact matrix gives the rank.
     """

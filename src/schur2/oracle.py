@@ -11,17 +11,43 @@ where m = d - 2k and H1 = d - H2. Both are faithful, and they are built from
 nothing the symbolic engine uses, so agreement between the three routes is
 meaningful evidence rather than a tautology.
 
-Divided powers are produced by the integral recurrence T^(m) = T^(m-1) T / m
-with an exact-divisibility check, never by dividing floats; binomials of
-the diagonal generators act entrywise on the diagonal. Everything stays in
-int64 under explicit overflow bounds, spilling to arbitrary-precision objects
-when a bound cannot be certified.
+Monomial images are closed forms of these actions, not matrix products.
+E^(c) v_j = binom(m-j+c,c) v_(j-c) and F^(a) v_i = binom(i+a,a) v_(i+a); on
+words, with U and W the sets of 2-positions, E^(c) sends W to its subsets of
+size |W|-c and F^(a) sends a set to its supersets with a more elements. So
+F^(a) binom(H1,b1) binom(H2,b2) E^(c) acts by
+
+    weight: v_j -> binom(m-i,c) binom(d-k-i,b1) binom(k+i,b2) binom(i+a,a) v_(i+a),
+            i = j-c, or 0 unless 0 <= i and i+a <= m;
+    tensor: (U, W) entry binom(d-mid,b1) binom(mid,b2) binom(|U & W|,mid)
+            if |U| = mid+a, else 0, where mid = |W|-c.
+
+Reversing each weight block, or complementing each word, swaps e with f and
+H1 with H2: the EHF image of (a,b1,b2,c) is that conjugate of the FHE image of
+(a,b2,b1,c). Ranks and product identities survive the conjugation, so they
+are checked on FHE images; `eval_element` conjugates back.
+
+An image moves H2 by its shift a-c, so images of different shifts have
+disjoint supports and ranks add over shifts. Within a shift an image is fixed
+by its probe vector: in the weight model one weight per source index, in the
+tensor model its columns at the d+1 orbit representatives 1^(d-k) 2^k. Every
+image lies in S(2,d) = End_{Sigma_d}(V^(x)d), where a map is fixed by one
+column per Sigma_d-orbit of words (Green, *Polynomial Representations of
+GL_n*, ch. 2), so restriction keeps ranks and decides equalities exactly.
+Products compose probes: in the weight model as weighted shifts, in the
+tensor model as the left image times the right orbit columns.
+
+Entries are Python ints from a table of binomials. A stack of probe vectors
+is narrowed to int64 when its largest entry is below 2^62, as in every shift
+of the weight model up to d = 34; the product check uses int64 only under
+explicit bounds on its operands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
@@ -31,31 +57,28 @@ from .elements import Element, Flavor
 from .qpoly import Poly, prender
 
 Monomial = tuple[int, int, int]
-
-
-def _checked_matmul_i64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if not matrices.int64_safe(
-        a.shape[1], int(np.abs(a).max(initial=0)), int(np.abs(b).max(initial=0))
-    ):
-        raise OverflowError("int64 product bound exceeded")
-    return a @ b
+Key = tuple[int, int, int, int]
 
 
 class Rep:
-    """A concrete matrix model with lazy divided-power and binomial caches."""
+    """A concrete matrix model: generator matrices and closed-form images.
 
-    def __init__(
-        self, kind: str, d: int, e: np.ndarray, f: np.ndarray,
-        h1_values: np.ndarray, h2_values: np.ndarray,
-    ):
-        self.kind = kind
+    `_entries(a, c, cols)` of a model lists the support of F^(a) P(H2) E^(c)
+    in the given columns as (rows, cols, h2, coef): the entry is coef * P(h2),
+    h2 being the H2-value of the intermediate vector. `_probe_index` places
+    entries in probe vectors, and `_compose` applies an image to them.
+    """
+
+    def __init__(self, d: int, e: np.ndarray, f: np.ndarray, h2: np.ndarray, swap: np.ndarray):
         self.d = d
         self.dim = e.shape[0]
         self._base = {"e": e, "f": f}
-        self._diag = {"H1": h1_values, "H2": h2_values}
-        eye = np.eye(self.dim, dtype=np.int64)
-        self._powers: dict[str, list[np.ndarray]] = {"e": [eye], "f": [eye]}
-        self._binoms: dict[tuple[str, int], np.ndarray] = {}
+        self._diag = {"H1": d - h2, "H2": h2}
+        self._swap = swap
+        # binom(n, k) as Python ints for n <= d and k <= d+1; column d+1 is zero.
+        self._binom = np.array(
+            [[comb(n, k) for k in range(d + 2)] for n in range(d + 1)], dtype=object
+        )
 
     def generator_matrix(self, name: str) -> np.ndarray:
         """e, f, H1, H2 or h as a dense int64 matrix."""
@@ -67,35 +90,107 @@ class Rep:
             return np.diag(self._diag["H1"] - self._diag["H2"])
         raise ValueError(f"unknown generator {name!r}")
 
-    def letter_power(self, letter: str, m: int) -> np.ndarray:
-        """The divided power matrix for e or f, built integrally."""
-        cache = self._powers[letter]
-        while len(cache) <= m:
-            k = len(cache)
-            raw = _checked_matmul_i64(cache[-1], self._base[letter])
-            quot, rem = np.divmod(raw, k)
-            if rem.any():
-                raise OverflowError("divided power recurrence must divide exactly")
-            cache.append(quot)
-        return cache[m]
+    def _h_values(self, b1: int, b2: int) -> np.ndarray:
+        """binom(H1,b1) binom(H2,b2) at H2 = 0..d."""
+        h = np.arange(self.d + 1)
+        return self._binom[self.d - h, min(b1, self.d + 1)] * self._binom[h, min(b2, self.d + 1)]
 
-    def h_binom_values(self, var: str, b: int) -> np.ndarray:
-        """Diagonal of binom(H_var, b) as an int64 vector."""
-        key = (var, b)
-        if key not in self._binoms:
-            self._binoms[key] = np.array(
-                [comb(int(v), b) for v in self._diag[var]], dtype=np.int64
-            )
-        return self._binoms[key]
+    def _add_image(self, out: np.ndarray, a: int, c: int, p: np.ndarray) -> None:
+        """out += F^(a) P(H2) E^(c), with P given by its values p at H2 = 0..d."""
+        rows, cols, h2, coef = self._entries(a, c, np.arange(self.dim))
+        out[rows, cols] = out[rows, cols] + coef * p[h2]
 
-    def image_int64(self, key: tuple[int, int, int, int], flavor: Flavor) -> np.ndarray:
-        """Image of one normal-order monomial, int64 under checked bounds."""
+    def probes(self, keys: list[Key]) -> np.ndarray:
+        """Probe vectors of the FHE images of `keys`, one row each."""
+        by_ac: dict[tuple[int, int], list[int]] = {}
+        for t, (a, _, _, c) in enumerate(keys):
+            by_ac.setdefault((a, c), []).append(t)
+        blocks, top = [], 0
+        for (a, c), ts in by_ac.items():
+            rows, cols, h2, coef = self._entries(a, c, self._probe_cols)
+            p = np.array([self._h_values(keys[t][1], keys[t][2]) for t in ts])
+            vals = p[:, h2] * coef
+            top = max(top, vals.max(initial=0))
+            blocks.append((ts, self._probe_index(rows, cols), vals))
+        out = np.zeros((len(keys), self._width), dtype=np.int64 if top < 2**62 else object)
+        for ts, idx, vals in blocks:
+            out[np.ix_(ts, idx)] = vals
+        return out
+
+
+class _WeightRep(Rep):
+    kind = "weight"
+
+    def __init__(self, d: int):
+        # v_j of the block k (highest weight m = d-2k) sits at pos j, top m-j.
+        k, pos, top = np.array(
+            [(k, j, d - 2 * k - j) for k in range(d // 2 + 1) for j in range(d - 2 * k + 1)],
+            dtype=np.int64,
+        ).T
+        dim = len(pos)
+        e = np.zeros((dim, dim), dtype=np.int64)
+        f = np.zeros((dim, dim), dtype=np.int64)
+        j = np.flatnonzero(top > 0)
+        f[j + 1, j] = pos[j] + 1
+        e[j, j + 1] = top[j]
+        self._pos, self._top = pos, top
+        super().__init__(d, e, f, k + pos, np.arange(dim) - pos + top)
+        self._probe_cols = np.arange(dim)
+        self._width = dim
+
+    def _entries(self, a: int, c: int, cols: np.ndarray):
+        keep = (self._pos[cols] >= c) & (self._top[cols] >= a - c)
+        cols = cols[keep]
+        i = self._pos[cols] - c
+        coef = self._binom[self._top[cols] + c, c] * self._binom[i + a, a]
+        return cols + a - c, cols, self._diag["H2"][cols] - c, coef
+
+    def _probe_index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return cols
+
+    def _compose(self, key: Key, probes: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        # B sends v_x to probes[j, x] v_(x+s_j); the left image then weighs v_(x+s_j).
+        left = self.probes([key])[0]
+        return probes * left[np.clip(np.arange(self.dim) + shifts[:, None], 0, self.dim - 1)]
+
+
+class _TensorRep(Rep):
+    kind = "tensor"
+
+    def __init__(self, d: int):
+        dim = 1 << d
+        words = np.arange(dim)
+        e = np.zeros((dim, dim), dtype=np.int64)
+        f = np.zeros((dim, dim), dtype=np.int64)
+        for bit in (1 << pos for pos in range(d)):
+            w = words[words & bit > 0]
+            e[w ^ bit, w] = 1
+            w = words[words & bit == 0]
+            f[w | bit, w] = 1
+        counts = np.array([bin(w).count("1") for w in range(dim)], dtype=np.int64)
+        super().__init__(d, e, f, counts, words ^ (dim - 1))
+        self._count = counts
+        # Word 1^(d-k) 2^k has its 2s in the low k bits, so its popcount is k.
+        self._probe_cols = (1 << np.arange(d + 1)) - 1
+        self._width = dim * (d + 1)
+
+    def _entries(self, a: int, c: int, cols: np.ndarray):
+        mid = self._count[cols] - c
+        rows, q = np.nonzero((self._count[:, None] == mid + a) & (mid >= 0))
+        cols, mid = cols[q], mid[q]
+        coef = self._binom[self._count[rows & cols], mid]
+        keep = coef != 0
+        return rows[keep], cols[keep], mid[keep], coef[keep]
+
+    def _probe_index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return rows * (self.d + 1) + self._count[cols]
+
+    def _compose(self, key: Key, probes: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        left = np.zeros((self.dim, self.dim), dtype=probes.dtype)
         a, b1, b2, c = key
-        diag = self.h_binom_values("H1", b1) * self.h_binom_values("H2", b2)
-        left_letter, right_letter = flavor.letters
-        left = self.letter_power(left_letter, a)
-        right = self.letter_power(right_letter, c)
-        return _checked_matmul_i64(left * diag[None, :], right)
+        self._add_image(left, a, c, self._h_values(b1, b2))
+        n = len(probes)
+        return (left @ probes.reshape(n, self.dim, self.d + 1)).reshape(n, -1)
 
 
 def tensor_rep(d: int) -> Rep:
@@ -104,79 +199,48 @@ def tensor_rep(d: int) -> Rep:
     Word w maps to the index whose bit (d-1-i) records whether position i
     holds the letter 2, so (11,12,21,22) is the d=2 order.
     """
-    dim = 1 << d
-    e = np.zeros((dim, dim), dtype=np.int64)
-    f = np.zeros((dim, dim), dtype=np.int64)
-    for w in range(dim):
-        for pos in range(d):
-            bit = 1 << pos
-            if w & bit:
-                e[w ^ bit, w] += 1
-            else:
-                f[w | bit, w] += 1
-    counts = np.array([bin(w).count("1") for w in range(dim)], dtype=np.int64)
-    return Rep("tensor", d, e, f, d - counts, counts)
+    return _TensorRep(d)
 
 
 def weight_rep(d: int) -> Rep:
     """Direct sum of the irreducible blocks of highest weight d, d-2, ..."""
-    blocks = [(k, d - 2 * k) for k in range(d // 2 + 1)]
-    dim = sum(m + 1 for _, m in blocks)
-    e = np.zeros((dim, dim), dtype=np.int64)
-    f = np.zeros((dim, dim), dtype=np.int64)
-    h2 = np.zeros(dim, dtype=np.int64)
-    off = 0
-    for k, m in blocks:
-        for j in range(m + 1):
-            h2[off + j] = k + j
-            if j < m:
-                f[off + j + 1, off + j] = j + 1
-                e[off + j, off + j + 1] = m - j
-        off += m + 1
-    return Rep("weight", d, e, f, d - h2, h2)
+    return _WeightRep(d)
 
 
 def eval_element(x: Element, rep: Rep) -> np.ndarray:
     """Exact image of an element: an object ndarray of ints/Fractions.
 
-    Terms are grouped by their (a, c) profile so each group costs one matrix
-    product; overflow-safe paths are chosen by matrices.matmul.
+    Terms sharing (a, c) differ only in their middle polynomial P(H2), so each
+    (a, c) group costs one closed-form image with entries coef * P(h2).
     """
-    n = rep.dim
     groups: dict[tuple[int, int], np.ndarray] = {}
     for (a, b1, b2, c), q in x.terms.items():
-        diag = (
-            rep.h_binom_values("H1", b1) * rep.h_binom_values("H2", b2)
-        ).astype(object) * q
-        key = (a, c)
-        if key in groups:
-            groups[key] = groups[key] + diag
-        else:
-            groups[key] = diag
-    out = matrices.zeros(n, n)
-    left_letter, right_letter = x.flavor.letters
-    for (a, c), diag in groups.items():
-        if a == 0 and c == 0:
-            idx = np.arange(n)
-            out[idx, idx] += diag
-            continue
-        left = rep.letter_power(left_letter, a).astype(object) * diag[None, :]
-        out = out + matrices.matmul(left, rep.letter_power(right_letter, c).astype(object))
+        p = q * (rep._h_values(b2, b1) if x.flavor is Flavor.EHF else rep._h_values(b1, b2))
+        groups[(a, c)] = groups[(a, c)] + p if (a, c) in groups else p
+    out = matrices.zeros(rep.dim)
+    for (a, c), p in groups.items():
+        rep._add_image(out, a, c, p)
+    if x.flavor is Flavor.EHF:
+        out = out[np.ix_(rep._swap, rep._swap)]
     return out
 
 
-def images_int64(monos: list[Monomial], rep: Rep, flavor: Flavor = Flavor.FHE) -> np.ndarray:
-    """Stacked images of single-variable monomials, shape (len, dim, dim)."""
-    out = np.empty((len(monos), rep.dim, rep.dim), dtype=np.int64)
-    for i, (a, b, c) in enumerate(monos):
-        key = (a, 0, b, c) if flavor is Flavor.FHE else (a, b, 0, c)
-        out[i] = rep.image_int64(key, flavor)
-    return out
+def shift_groups(monos: list[Monomial], rep: Rep) -> Iterator[np.ndarray]:
+    """Probe vectors of the monomial images, one matrix per shift a-c."""
+    groups: dict[int, list[Key]] = {}
+    for a, b, c in monos:
+        groups.setdefault(a - c, []).append((a, 0, b, c))
+    for keys in groups.values():
+        yield rep.probes(keys)
 
 
 def rank_of_images(monos: list[Monomial], rep: Rep, flavor: Flavor = Flavor.FHE) -> int:
-    """Exact rank of the span of the flattened monomial images."""
-    return matrices.exact_rank(images_int64(monos, rep, flavor).reshape(len(monos), -1))
+    """Exact rank of the span of the monomial images: the sum over shifts.
+
+    Both flavors give the same rank, since each EHF image is conjugate to an
+    FHE one (see the module docstring).
+    """
+    return sum(matrices.exact_rank(g) for g in shift_groups(monos, rep))
 
 
 def matrix_min_poly(mat: np.ndarray) -> Poly:
@@ -194,43 +258,42 @@ def relations_hold(ctx: SchurContext, rep: Rep) -> tuple[bool, list[str]]:
 
 
 def products_match(table: StructureTable, rep: Rep) -> tuple[bool, str]:
-    """Check every structure-table product against matrix multiplication.
+    """Check every structure-table product against the model, on probe vectors.
 
-    Streams over index pairs in chunks: the actual side is a batched int64
-    matmul, the expected side accumulates the (sparse) table rows. All int64
-    work is covered by explicit bounds on the operands.
+    For each left factor i, the model composes image i with the probe vectors
+    of every right factor j (shift s_i + s_j); the table side adds q_k times
+    probe k into the slot of shift s_k, and every slot of every pair must then
+    cancel. Both sides are int64 under explicit bounds, else Python ints.
     """
     monos = list(table.basis)
     n = len(monos)
-    stack = images_int64(monos, rep, table.flavor)
-    flat = stack.reshape(n, -1)
-    max_entry = int(np.abs(stack).max(initial=0))
-    if not matrices.int64_safe(rep.dim, max_entry, max_entry):
-        raise OverflowError("int64 bound exceeded for the image products")
     max_coef = 1
     for terms in table.products.values():
         for _, q in terms:
             if not isinstance(q, int):
                 return False, "structure constants are not integral"
             max_coef = max(max_coef, abs(q))
-    if not matrices.int64_safe(n, max_coef, max_entry):
-        raise OverflowError("int64 bound exceeded for the expected products")
-
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    chunk = 512
-    for start in range(0, len(pairs), chunk):
-        batch = pairs[start : start + chunk]
-        ii = np.array([p[0] for p in batch])
-        jj = np.array([p[1] for p in batch])
-        actual = np.matmul(stack[ii], stack[jj]).reshape(len(batch), -1)
-        expected = np.zeros_like(actual)
-        for row, (i, j) in enumerate(batch):
-            for k, q in table.products[(i, j)]:
-                expected[row] += q * flat[k]
-        if not np.array_equal(actual, expected):
-            bad = int(np.nonzero((actual != expected).any(axis=1))[0][0])
-            i, j = batch[bad]
-            return False, f"product mismatch at basis pair {monos[i]} * {monos[j]}"
+    keys = [(a, 0, b, c) for a, b, c in monos]
+    shifts = np.array([a - c for a, _, c in monos], dtype=np.int64)
+    probes = rep.probes(keys)
+    bound = int(np.abs(probes).max(initial=0))
+    if not (
+        matrices.int64_safe(rep.dim, bound, bound) and matrices.int64_safe(n, max_coef, bound)
+    ):
+        probes = probes.astype(object)
+    # Each pair has 4d+1 slots, slot 2d+s for shift s: products reach -2d..2d.
+    slots = 4 * rep.d + 1
+    slot = 2 * rep.d + shifts
+    for i in range(n):
+        terms = [(j, k, q) for j in range(n) for k, q in table.products[(i, j)]]
+        jj, kk, qq = np.array(terms, dtype=probes.dtype).reshape(-1, 3).T
+        jj, kk = jj.astype(np.int64), kk.astype(np.int64)
+        diff = np.zeros((n * slots, probes.shape[1]), dtype=probes.dtype)
+        np.add.at(diff, jj * slots + slot[kk], qq[:, None] * probes[kk])
+        diff[np.arange(n) * slots + slot + shifts[i]] -= rep._compose(keys[i], probes, shifts)
+        bad = np.flatnonzero(diff.reshape(n, -1).any(axis=1))
+        if bad.size:
+            return False, f"product mismatch at basis pair {monos[i]} * {monos[bad[0]]}"
     return True, f"{n * n} products checked"
 
 

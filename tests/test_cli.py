@@ -104,6 +104,16 @@ def test_verify_oracle_choice(capsys):
     assert "relations:tensor" not in names
 
 
+def test_verify_weight_beyond_int64_images(capsys):
+    # Dense int64 images overflowed from d=25 on; the closed forms reach further.
+    code, out, _ = _run(capsys, "verify", "--d", "26", "--oracle", "weight", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_passed"] is True
+    details = {c["name"]: c["detail"] for c in payload["checks"]}
+    assert details["rank:weight"] == "rank 3654 vs dimension 3654"
+
+
 _D1_CSV = """i,j,k,num,den
 0,0,0,1,1
 0,1,1,1,1

@@ -27,7 +27,7 @@ from schur2.matrices import (
     min_poly,
     zeros,
 )
-from schur2.oracle import images_int64, tensor_rep, weight_rep
+from schur2.oracle import shift_groups, tensor_rep, weight_rep
 from schur2.qpoly import peval, pfrom_roots, pmul, ptrim
 
 
@@ -120,7 +120,7 @@ def test_exact_rank_agrees_with_bareiss():
     def rand_rows(m, n, lo=-9, hi=9):
         return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
-    # Block diagonal, one block singular: the split must not hide the defect.
+    # Block diagonal, one block singular: the certificate must not hide the defect.
     blocks = [rand_rows(3, 3), [[1, 2, 3], [2, 4, 6], [0, 1, 1]], rand_rows(2, 4)]
     block_diag = zeros(8, 10)
     r = c = 0
@@ -154,15 +154,19 @@ def test_exact_rank_agrees_with_bareiss():
 
 
 def test_exact_rank_certifies_full_rank_without_bareiss(monkeypatch):
-    # Full-rank oracle images must be decided by the mod-p certificate alone.
+    # Full-rank oracle images, one matrix of probe vectors per shift, must be
+    # decided by the mod-p certificate alone.
     def no_bareiss(a):
         raise AssertionError("fell back to Bareiss")
 
     monkeypatch.setattr(matrices, "bareiss_rank", no_bareiss)
-    for rep in (weight_rep(6), tensor_rep(4)):
+    for rep in (weight_rep(6), tensor_rep(4), weight_rep(20)):
         monos = basis(SchurContext(rep.d))
-        stack = images_int64(monos, rep).reshape(len(monos), -1)
-        assert exact_rank(stack) == len(monos)
+        groups = list(shift_groups(monos, rep))
+        assert len(groups) == 2 * rep.d + 1
+        assert sum(len(g) for g in groups) == len(monos)
+        for g in groups:
+            assert exact_rank(g) == len(g)
 
 
 def test_exact_rank_wide_integer_matrix():

@@ -23,6 +23,7 @@ import schur2.algebra as algebra
 import schur2.elements as elements
 from schur2.algebra import (
     SchurContext,
+    StructureTable,
     basis,
     dimension,
     expected_h_min_poly,
@@ -100,18 +101,98 @@ def test_rep_dimensions():
         assert weight_rep(d).dim == sum(blocks)
 
 
+def _divided_powers(rep, letter, top):
+    """g^m / m! for m <= top from the generator matrix, by object matmul."""
+    g = rep.generator_matrix(letter).astype(object)
+    acc = np.eye(rep.dim, dtype=np.int64).astype(object)
+    out = [acc]
+    for m in range(1, top + 1):
+        acc = acc @ g
+        quot = acc // math.factorial(m)
+        assert mat_equal(quot * math.factorial(m), acc), (rep.kind, letter, m)
+        out.append(quot)
+    return out
+
+
 def test_divided_powers_are_integral_quotients():
-    for make in (tensor_rep, weight_rep):
-        rep = make(4)
-        for letter in ("e", "f"):
-            plain = rep.generator_matrix(letter).astype(object)
-            acc = np.eye(rep.dim, dtype=object)
-            for m in range(1, 5):
-                acc = acc @ plain
-                expected = acc / math.factorial(m)
-                got = rep.letter_power(letter, m).astype(object)
-                assert np.array_equal(got * math.factorial(m), acc), (letter, m)
-                assert np.array_equal(got, expected)
+    # Every closed-form image equals (L^a/a!) binom(H1,b1) binom(H2,b2) (R^c/c!)
+    # built here from the generator matrices, each division exact.
+    for d in range(6):
+        for make in (tensor_rep, weight_rep):
+            rep = make(d)
+            powers = {g: _divided_powers(rep, g, d + 1) for g in ("e", "f")}
+            h1 = np.diag(rep.generator_matrix("H1"))
+            h2 = np.diag(rep.generator_matrix("H2"))
+            middles = {
+                (b1, b2): np.array(
+                    [math.comb(int(x), b1) * math.comb(int(y), b2) for x, y in zip(h1, h2)],
+                    dtype=object,
+                )
+                for b1 in range(3)
+                for b2 in range(3)
+            }
+            for flavor in Flavor:
+                left, right = flavor.letters
+                for a in range(d + 2):
+                    for c in range(d + 2):
+                        for (b1, b2), mid in middles.items():
+                            key = (a, b1, b2, c)
+                            expected = (powers[left][a] * mid[None, :]) @ powers[right][c]
+                            got = eval_element(Element(flavor, {key: 1}), rep)
+                            assert mat_equal(got, expected), (d, rep.kind, flavor, key)
+
+
+def _position_swaps(d):
+    """Word permutations exchanging two neighbouring positions."""
+    words = np.arange(1 << d)
+    out = []
+    for p in range(d - 1):
+        lo, hi = 1 << p, 1 << (p + 1)
+        out.append(words ^ ((((words & lo) > 0) != ((words & hi) > 0)) * (lo | hi)))
+    return out
+
+
+def test_tensor_orbit_columns_fix_the_images():
+    # A tensor probe vector is the image's columns at the words 1^(d-k) 2^k.
+    # Every image commutes with permuting positions, so those columns fix it.
+    for d in range(8):
+        rep = tensor_rep(d)
+        orbit = [(1 << k) - 1 for k in range(d + 1)]
+        keys = [(a, 0, b, c) for a, b, c in basis(SchurContext(d))]
+        swaps = _position_swaps(d) if d <= 5 else []
+        for key, probe in zip(keys, rep.probes(keys)):
+            full = eval_element(Element(Flavor.FHE, {key: 1}), rep)
+            assert mat_equal(probe.reshape(rep.dim, d + 1), full[:, orbit]), (d, key)
+            for perm in swaps:
+                assert mat_equal(full[np.ix_(perm, perm)], full), (d, key)
+
+
+def test_probes_stay_exact_beyond_int64():
+    # At d=40, F^(14) binom(H2,10) E^(14) has entries above 2**63: its probe
+    # vector keeps Python ints, and equals the divided powers of the
+    # bidiagonal generators applied exactly.
+    rep = weight_rep(40)
+    n = rep.dim
+    e_sup = np.diagonal(rep.generator_matrix("e"), 1).astype(object)
+    f_sub = np.diagonal(rep.generator_matrix("f"), -1).astype(object)
+    m = np.eye(n, dtype=np.int64).astype(object)
+    for k in range(1, 15):
+        step = np.zeros((n, n), dtype=object)
+        step[:-1] = e_sup[:, None] * m[1:]
+        assert not (step % k).any()
+        m = step // k
+    h2 = np.diag(rep.generator_matrix("H2"))
+    m = np.array([math.comb(int(h), 10) for h in h2], dtype=object)[:, None] * m
+    for k in range(1, 15):
+        step = np.zeros((n, n), dtype=object)
+        step[1:] = f_sub[:, None] * m[:-1]
+        assert not (step % k).any()
+        m = step // k
+    probe = rep.probes([(14, 0, 10, 14)])[0]
+    assert probe.dtype == object
+    assert max(probe) > 2**63
+    # Shift 0: the image is diagonal, with the probe vector on the diagonal.
+    assert mat_equal(m, np.diag(probe))
 
 
 def test_eval_element_frozen_cases():
@@ -224,6 +305,39 @@ def test_products_match_reports_mismatch():
     assert "basis pair" in detail
 
 
+def _corrupted_rows(table):
+    """Copies of a table with one product row wrong in three ways."""
+    shift = [a - c for a, _, c in table.basis]
+    i, j = max(table.products, key=lambda ij: len(table.products[ij]))
+    terms = table.products[(i, j)]
+    k, q = terms[0]
+    other = next(
+        m for m in range(len(table.basis)) if shift[m] != shift[i] + shift[j]
+    )
+    rows = {
+        "wrong coefficient": ((k, q + 1),) + terms[1:],
+        "term of another shift": terms + ((other, 1),),
+        "dropped term": terms[1:],
+    }
+    for name, row in rows.items():
+        products = dict(table.products)
+        products[(i, j)] = row
+        yield name, (i, j), StructureTable(table.d, table.flavor, table.basis, products)
+
+
+@pytest.mark.parametrize("make", [tensor_rep, weight_rep])
+def test_products_match_catches_each_wrong_row(make):
+    table = structure_constants(SchurContext(2))
+    rep = make(2)
+    assert products_match(table, rep)[0]
+    for name, (i, j), broken in _corrupted_rows(table):
+        ok, detail = products_match(broken, rep)
+        assert not ok, name
+        assert detail == (
+            f"product mismatch at basis pair {table.basis[i]} * {table.basis[j]}"
+        ), name
+
+
 def test_verify_suite_passes():
     report = verify_suite(2)
     assert report.all_passed
@@ -297,17 +411,18 @@ def test_verify_suite_catches_injected_sign_error():
 
 
 def test_checked_int64_guard_survives_optimize_flag():
-    # 2x2 matrices of 2**40 have products 2 * 2**80, which wrap to 0 in int64;
-    # the guard must raise even with assertions stripped by python -O.
+    # A product term of coefficient 2**64 wraps to 0 in int64; the operand
+    # bound must move products_match to Python ints even under python -O,
+    # so the extra term is reported rather than lost.
     code = (
-        "import numpy as np\n"
-        "from schur2.oracle import _checked_matmul_i64\n"
-        "a = np.full((2, 2), 2**40, dtype=np.int64)\n"
-        "try:\n"
-        "    _checked_matmul_i64(a, a)\n"
-        "except OverflowError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+        "from schur2 import algebra, oracle\n"
+        "table = algebra.structure_constants(algebra.SchurContext(1))\n"
+        "table.products = dict(table.products)\n"
+        "table.products[(1, 3)] += ((3, 2**64),)\n"
+        "for rep in (oracle.tensor_rep(1), oracle.weight_rep(1)):\n"
+        "    ok, detail = oracle.products_match(table, rep)\n"
+        "    if ok or 'basis pair' not in detail:\n"
+        "        raise SystemExit(1)\n"
     )
     src = str(Path(schur2.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

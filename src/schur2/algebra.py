@@ -118,11 +118,7 @@ def normalize(x: Element, ctx: SchurContext) -> Element:
     for (a, b, c), q in substitute_offvar(x, ctx.d).single_var_terms().items():
         for mono, coef in _reduce_table(ctx.d, a, b, c):
             key = _flavor_key(ctx.flavor, *mono)
-            v = out.get(key, 0) + q * coef
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + q * coef
     return Element(ctx.flavor, out)
 
 
@@ -172,11 +168,7 @@ def _add_product(out: dict[Monomial, Scalar], d: int, q: Scalar, x: Monomial, y:
         for m, mc in middle:
             qm = scal * mc
             for mono, coef in _reduce_table(d, big_a, m, big_c):
-                v = out.get(mono, 0) + qm * coef
-                if v:
-                    out[mono] = v
-                else:
-                    out.pop(mono, None)
+                out[mono] = out.get(mono, 0) + qm * coef
 
 
 def mul_bd(x: Element, y: Element, ctx: SchurContext) -> Element:
@@ -219,7 +211,7 @@ def structure_constants(ctx: SchurContext) -> StructureTable:
         for j, y in enumerate(monos):
             out: dict[Monomial, Scalar] = {}
             _add_product(out, d, 1, x, y)
-            products[(i, j)] = tuple(sorted((index[mono], q) for mono, q in out.items()))
+            products[(i, j)] = tuple(sorted((index[mono], q) for mono, q in out.items() if q))
     return StructureTable(d, ctx.flavor, tuple(monos), products)
 
 
@@ -382,6 +374,30 @@ class RelationReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _product_over(base: Element, shifts: list[int]) -> Element:
+    """(base - s_0)(base - s_1)... in the untruncated algebra."""
+    acc = Element.one(base.flavor)
+    for s in shifts:
+        acc = mul(acc, base - Element.scalar(s, base.flavor))
+    return acc
+
+
+def _hef_relations(d: int, flavor: Flavor) -> list[tuple[str, Element]]:
+    """The e,f,h presentation of S(2,d): three commutators and the truncation."""
+    e = Element.generator("e", flavor)
+    f = Element.generator("f", flavor)
+    h = Element.generator("h", flavor)
+    return [
+        ("h,e,f: he-eh = 2e", mul(h, e) - mul(e, h) - 2 * e),
+        ("h,e,f: ef-fe = h", mul(e, f) - mul(f, e) - h),
+        ("h,e,f: hf-fh = -2f", mul(h, f) - mul(f, h) + 2 * f),
+        (
+            "h,e,f: (h+d)(h+d-2)...(h-d) = 0",
+            _product_over(h, [d - 2 * k for k in range(d + 1)]),
+        ),
+    ]
+
+
 def presentation_relations(ctx: SchurContext) -> list[tuple[str, Element]]:
     """LHS-RHS of every defining relation, as untruncated elements.
 
@@ -396,33 +412,19 @@ def presentation_relations(ctx: SchurContext) -> list[tuple[str, Element]]:
     h = Element.generator("h", flavor)
     h1 = Element.generator("H1", flavor)
     h2 = Element.generator("H2", flavor)
-    one = Element.one(flavor)
 
     def hb(var: str, b: int) -> Element:
         return Element.h_binomial(var, b, flavor)
 
-    def product_over(base: Element, shifts: list[int]) -> Element:
-        acc = one
-        for s in shifts:
-            acc = mul(acc, base - Element.scalar(s, flavor))
-        return acc
-
-    rels: list[tuple[str, Element]] = [
-        ("h,e,f: he-eh = 2e", mul(h, e) - mul(e, h) - 2 * e),
-        ("h,e,f: ef-fe = h", mul(e, f) - mul(f, e) - h),
-        ("h,e,f: hf-fh = -2f", mul(h, f) - mul(f, h) + 2 * f),
-        (
-            "h,e,f: (h+d)(h+d-2)...(h-d) = 0",
-            product_over(h, [d - 2 * k for k in range(d + 1)]),
-        ),
+    rels = _hef_relations(d, flavor) + [
         ("H1,e,f: H1e-eH1 = e", mul(h1, e) - mul(e, h1) - e),
         ("H1,e,f: ef-fe = 2H1-d", mul(e, f) - mul(f, e) - 2 * h1 + Element.scalar(d, flavor)),
         ("H1,e,f: H1f-fH1 = -f", mul(h1, f) - mul(f, h1) + f),
-        ("H1,e,f: H1(H1-1)...(H1-d) = 0", product_over(h1, list(range(d + 1)))),
+        ("H1,e,f: H1(H1-1)...(H1-d) = 0", _product_over(h1, list(range(d + 1)))),
         ("H2,e,f: H2e-eH2 = -e", mul(h2, e) - mul(e, h2) + e),
         ("H2,e,f: ef-fe = d-2H2", mul(e, f) - mul(f, e) + 2 * h2 - Element.scalar(d, flavor)),
         ("H2,e,f: H2f-fH2 = f", mul(h2, f) - mul(f, h2) - f),
-        ("H2,e,f: H2(H2-1)...(H2-d) = 0", product_over(h2, list(range(d + 1)))),
+        ("H2,e,f: H2(H2-1)...(H2-d) = 0", _product_over(h2, list(range(d + 1)))),
         ("gl2: H1H2 = H2H1", mul(h1, h2) - mul(h2, h1)),
         ("gl2: H1+H2 = d", h1 + h2 - Element.scalar(d, flavor)),
     ]
@@ -463,20 +465,9 @@ def quotient_map_check(ctx: SchurContext) -> bool:
     """Do the defining relations of the (d+2)-algebra die in this one?
 
     The generator-preserving map (e,f,h fixed) is a quotient map iff every
-    relation of the larger presentation normalizes to zero here; the only
-    nontrivial one is the degree-(d+3) truncation product for h.
+    relation of the larger e,f,h presentation normalizes to zero here; the
+    only nontrivial one is the degree-(d+3) truncation product for h.
     """
-    d, flavor = ctx.d, ctx.flavor
-    e = Element.generator("e", flavor)
-    f = Element.generator("f", flavor)
-    h = Element.generator("h", flavor)
-    rels = [
-        mul(h, e) - mul(e, h) - 2 * e,
-        mul(e, f) - mul(f, e) - h,
-        mul(h, f) - mul(f, h) + 2 * f,
-    ]
-    acc = Element.one(flavor)
-    for k in range(d + 3):
-        acc = mul(acc, h - Element.scalar(d + 2 - 2 * k, flavor))
-    rels.append(acc)
-    return all(normalize(r, ctx).is_zero() for r in rels)
+    return all(
+        normalize(rel, ctx).is_zero() for _, rel in _hef_relations(ctx.d + 2, ctx.flavor)
+    )

@@ -375,11 +375,7 @@ def mul(x: Element, y: Element) -> Element:
                 A, C = a + aa, cc + c2
                 for (q1, q2), mc in m.items():
                     key = (A, q1, q2, C)
-                    v = out.get(key, 0) + scal * mc
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
+                    out[key] = out.get(key, 0) + scal * mc
     return Element(flavor, out)
 
 
@@ -410,11 +406,7 @@ def substitute_offvar(x: Element, d: int) -> Element:
     out: dict[Key, Scalar] = {}
 
     def put(key: Key, q: Scalar) -> None:
-        v = out.get(key, 0) + q
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+        out[key] = out.get(key, 0) + q
 
     fhe = x.flavor is Flavor.FHE
     for (a, b1, b2, c), q in x.terms.items():

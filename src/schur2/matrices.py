@@ -1,9 +1,11 @@
 """Exact matrix arithmetic for the representation oracles.
 
-Matrices are numpy arrays. Exactness is non-negotiable: fast paths run in
-int64 only when an a priori bound proves no overflow can occur, and otherwise
-the code falls back to object-dtype arrays of Python ints/Fractions. No
-floating point anywhere.
+Matrices are numpy arrays of int64 or of Python ints/Fractions (object
+dtype). Exactness is non-negotiable, and there is no floating point anywhere.
+Arithmetic on the entries themselves runs in int64 only in
+`oracle.products_match`, and only when `int64_safe` proves from a priori
+bounds that no overflow can occur; the rank certificate below works in int64
+on residues mod p.
 
 Rank is exact. For an integral matrix with m rows, `exact_rank` first tries
 to certify full row rank mod p in two steps, all in bounded int64:
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -43,22 +45,6 @@ from .qpoly import Poly, plcm, pmonic, ptrim
 _INT64_SAFE = 2**62
 _CERT_PRIME = 2**31 - 1
 _FINGERPRINT_SEED = 20000
-
-
-def as_exact(rows: Sequence[Sequence[int | Fraction]]) -> np.ndarray:
-    a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            a[i, j] = x
-    return a
-
-
-def identity(n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=object)
-    a[...] = 0
-    for i in range(n):
-        a[i, i] = 1
-    return a
 
 
 def zeros(n: int, m: int | None = None) -> np.ndarray:
@@ -76,31 +62,9 @@ def is_integral(a: np.ndarray) -> bool:
     )
 
 
-def max_abs(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    m = max(abs(x) for x in a.flat)
-    return int(m) if isinstance(m, Fraction) else int(m)
-
-
 def int64_safe(n: int, max_a: int, max_b: int) -> bool:
     """Whether length-n dot products of entries bounded by max_a and max_b fit int64."""
     return n * max(max_a, 1) * max(max_b, 1) < _INT64_SAFE
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix (or matrix-vector) product; int64 under a proven bound."""
-    if is_integral(a) and is_integral(b) and int64_safe(a.shape[1], max_abs(a), max_abs(b)):
-        return (a.astype(np.int64) @ b.astype(np.int64)).astype(object)
-    return a.dot(b)
-
-
-def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool((np.asarray(a, dtype=object) == np.asarray(b, dtype=object)).all())
-
-
-def is_zero_matrix(a: np.ndarray) -> bool:
-    return bool((np.asarray(a, dtype=object) == 0).all())
 
 
 def _clear_denominators(rows: list[list[int | Fraction]]) -> list[list[int]]:

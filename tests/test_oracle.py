@@ -21,6 +21,7 @@ import pytest
 import schur2
 import schur2.algebra as algebra
 import schur2.elements as elements
+import schur2.oracle as oracle
 from schur2.algebra import (
     SchurContext,
     StructureTable,
@@ -31,7 +32,6 @@ from schur2.algebra import (
     structure_constants,
 )
 from schur2.elements import Element, Flavor, mul
-from schur2.matrices import is_zero_matrix, mat_equal
 from schur2.oracle import (
     eval_element,
     matrix_min_poly,
@@ -39,6 +39,7 @@ from schur2.oracle import (
     rank_of_images,
     relations_hold,
     tensor_rep,
+    vanishes,
     verify_suite,
     weight_rep,
 )
@@ -109,18 +110,19 @@ def _divided_powers(rep, letter, top):
     for m in range(1, top + 1):
         acc = acc @ g
         quot = acc // math.factorial(m)
-        assert mat_equal(quot * math.factorial(m), acc), (rep.kind, letter, m)
+        assert np.array_equal(quot * math.factorial(m), acc), (rep.kind, letter, m)
         out.append(quot)
     return out
 
 
 def test_divided_powers_are_integral_quotients():
     # Every closed-form image equals (L^a/a!) binom(H1,b1) binom(H2,b2) (R^c/c!)
-    # built here from the generator matrices, each division exact.
+    # built here from the generator matrices, each division exact. Exponents
+    # run to d+2, where the divided powers are zero.
     for d in range(6):
         for make in (tensor_rep, weight_rep):
             rep = make(d)
-            powers = {g: _divided_powers(rep, g, d + 1) for g in ("e", "f")}
+            powers = {g: _divided_powers(rep, g, d + 2) for g in ("e", "f")}
             h1 = np.diag(rep.generator_matrix("H1"))
             h2 = np.diag(rep.generator_matrix("H2"))
             middles = {
@@ -133,13 +135,13 @@ def test_divided_powers_are_integral_quotients():
             }
             for flavor in Flavor:
                 left, right = flavor.letters
-                for a in range(d + 2):
-                    for c in range(d + 2):
+                for a in range(d + 3):
+                    for c in range(d + 3):
                         for (b1, b2), mid in middles.items():
                             key = (a, b1, b2, c)
                             expected = (powers[left][a] * mid[None, :]) @ powers[right][c]
                             got = eval_element(Element(flavor, {key: 1}), rep)
-                            assert mat_equal(got, expected), (d, rep.kind, flavor, key)
+                            assert np.array_equal(got, expected), (d, rep.kind, flavor, key)
 
 
 def _position_swaps(d):
@@ -162,9 +164,9 @@ def test_tensor_orbit_columns_fix_the_images():
         swaps = _position_swaps(d) if d <= 5 else []
         for key, probe in zip(keys, rep.probes(keys)):
             full = eval_element(Element(Flavor.FHE, {key: 1}), rep)
-            assert mat_equal(probe.reshape(rep.dim, d + 1), full[:, orbit]), (d, key)
+            assert np.array_equal(probe.reshape(rep.dim, d + 1), full[:, orbit]), (d, key)
             for perm in swaps:
-                assert mat_equal(full[np.ix_(perm, perm)], full), (d, key)
+                assert np.array_equal(full[np.ix_(perm, perm)], full), (d, key)
 
 
 def test_probes_stay_exact_beyond_int64():
@@ -192,22 +194,22 @@ def test_probes_stay_exact_beyond_int64():
     assert probe.dtype == object
     assert max(probe) > 2**63
     # Shift 0: the image is diagonal, with the probe vector on the diagonal.
-    assert mat_equal(m, np.diag(probe))
+    assert np.array_equal(m, np.diag(probe))
 
 
 def test_eval_element_frozen_cases():
     rep = tensor_rep(1)
-    assert mat_equal(eval_element(Element.one(), rep), np.eye(2, dtype=object))
+    assert np.array_equal(eval_element(Element.one(), rep), np.eye(2, dtype=object))
     h2 = Element.generator("H2")
     assert eval_element(h2, rep).tolist() == [[0, 0], [0, 1]]
 
     rep2 = tensor_rep(2)
     x = Element(Flavor.FHE, {(1, 0, 1, 1): 1})  # F(1) binom(H2,1) E(1)
     b2 = Element.monomial(0, 2, 0)
-    assert mat_equal(eval_element(x, rep2), eval_element(b2, rep2) * 2)
+    assert np.array_equal(eval_element(x, rep2), eval_element(b2, rep2) * 2)
     # The identity decomposes the weight space: H1 + H2 = d.
     total = Element.generator("H1") + Element.generator("H2")
-    assert mat_equal(eval_element(total, rep2), 2 * np.eye(4, dtype=object))
+    assert np.array_equal(eval_element(total, rep2), 2 * np.eye(4, dtype=object))
 
 
 def test_eval_element_respects_scalars():
@@ -226,7 +228,7 @@ def test_eval_element_is_multiplicative():
             y = _random_element(rng, Flavor.FHE)
             lhs = eval_element(mul(x, y), rep)
             rhs = np.asarray(eval_element(x, rep)) @ np.asarray(eval_element(y, rep))
-            assert mat_equal(lhs, rhs)
+            assert np.array_equal(lhs, rhs)
 
 
 def _random_element(rng, flavor, max_exp=2, nterms=2):
@@ -251,7 +253,7 @@ def test_normalize_preserves_image():
             rep = make(d)
             for _ in range(6):
                 x = _random_element(rng, Flavor.FHE)
-                assert mat_equal(
+                assert np.array_equal(
                     eval_element(x, rep), eval_element(algebra.normalize(x, ctx), rep)
                 )
 
@@ -280,10 +282,40 @@ def test_matrix_min_poly_frozen():
 
 def test_relations_hold_in_models():
     for d in (0, 1, 2, 3):
-        ctx = SchurContext(d)
+        relations = algebra.presentation_relations(SchurContext(d))
         for make in (tensor_rep, weight_rep):
-            ok, failures = relations_hold(ctx, make(d))
+            ok, failures = relations_hold(relations, make(d))
             assert ok, failures
+
+
+def test_probe_vanishing_matches_dense_zero_test():
+    # `vanishes` decides on probe vectors what the dense image shows: on the
+    # relations at d and at d+1, random elements with keys up to d+2 and
+    # Fraction coefficients, and x - normalize(x).
+    rng = random.Random(113)
+    # F(1) and binom(H1,1) weigh the basis of the d=1 weight model alike;
+    # only keeping their shifts apart tells them apart.
+    twin = Element(Flavor.FHE, {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1})
+    seen = {}
+    for d in range(6):
+        for flavor in Flavor:
+            ctx = SchurContext(d, flavor)
+            randoms = [_random_element(rng, flavor, max_exp=d + 2, nterms=3) for _ in range(6)]
+            cases = [
+                rel
+                for k in (d, d + 1)
+                for _, rel in algebra.presentation_relations(SchurContext(k, flavor))
+            ]
+            cases += randoms + [x - algebra.normalize(x, ctx) for x in randoms]
+            cases.append(twin if flavor is Flavor.FHE else twin.symmetry())
+            for make in (tensor_rep, weight_rep):
+                rep = make(d)
+                for x in cases:
+                    zero = not eval_element(x, rep).any()
+                    assert vanishes(x, rep) == zero, (d, flavor, rep.kind, x)
+                    key = (rep.kind, flavor, zero)
+                    seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 8, seen
 
 
 def test_products_match_small():
@@ -353,6 +385,21 @@ def test_verify_suite_passes():
     assert payload["all_passed"] is True
     assert payload["d"] == 2
     assert len(payload["checks"]) == len(report.checks)
+
+
+def test_verify_suite_builds_relations_once_and_no_dense_image(monkeypatch):
+    calls = {}
+    for module, name in ((algebra, "presentation_relations"), (oracle, "eval_element")):
+
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for selection in ("auto", "tensor", "weight", "both"):
+        calls.update(presentation_relations=0, eval_element=0)
+        assert verify_suite(3, oracle=selection).all_passed, selection
+        assert calls == {"presentation_relations": 1, "eval_element": 0}, selection
 
 
 def test_verify_suite_oracle_selection():
@@ -440,7 +487,7 @@ def test_derived_matrices_never_share_storage():
 def test_relations_fail_in_wrong_model():
     # Evaluating the d=2 relations in the d=3 model must fail (truncation
     # degree differs), which guards against the models being vacuous.
-    ctx = SchurContext(2)
-    ok, failures = relations_hold(ctx, tensor_rep(3))
+    relations = algebra.presentation_relations(SchurContext(2))
+    ok, failures = relations_hold(relations, tensor_rep(3))
     assert not ok
     assert failures

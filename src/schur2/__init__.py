@@ -42,7 +42,6 @@ from .oracle import (
     Rep,
     VerifyReport,
     eval_element,
-    matrix_min_poly,
     rank_of_images,
     tensor_rep,
     verify_suite,
@@ -75,7 +74,6 @@ __all__ = [
     "from_h_basis",
     "from_power_basis",
     "lower",
-    "matrix_min_poly",
     "min_poly",
     "mul",
     "mul_bd",

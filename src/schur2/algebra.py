@@ -247,26 +247,19 @@ def to_power_basis(x: Element, ctx: SchurContext) -> dict[Monomial, Fraction]:
     for (a, b, c), q in normalize(x, ctx).single_var_terms().items():
         scale = Fraction(q) / (factorial(a) * factorial(c))
         for m, cm in enumerate(_binom_to_powers(b)):
-            if cm == 0:
-                continue
-            key = (a, m, c)
-            v = out.get(key, Fraction(0)) + scale * cm
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
+            out[(a, m, c)] = out.get((a, m, c), 0) + scale * cm
+    return {key: v for key, v in out.items() if v}
 
 
 def from_power_basis(coeffs: dict[Monomial, Fraction | int], ctx: SchurContext) -> Element:
     """Inverse of to_power_basis."""
-    acc = Element.zero(ctx.flavor)
+    terms: dict[tuple[int, int, int, int], Fraction] = {}
     for (a, m, c), q in coeffs.items():
         scale = Fraction(q) * factorial(a) * factorial(c)
         for b, cb in enumerate(_power_to_binoms(m)):
-            if cb:
-                acc = acc + Element.monomial(a, b, c, ctx.flavor, coeff=scale * cb)
-    return normalize(acc, ctx)
+            key = _flavor_key(ctx.flavor, a, b, c)
+            terms[key] = terms.get(key, 0) + scale * cb
+    return normalize(Element(ctx.flavor, terms), ctx)
 
 
 def to_h_basis(x: Element, ctx: SchurContext) -> dict[Monomial, Fraction]:
@@ -282,15 +275,8 @@ def to_h_basis(x: Element, ctx: SchurContext) -> dict[Monomial, Fraction]:
         # H^m = ((d + sign*h)/2)^m expanded in powers of h.
         for i in range(m + 1):
             coef = q * comb(m, i) * d ** (m - i) * sign**i / Fraction(2**m)
-            if coef == 0:
-                continue
-            key = (a, i, c)
-            v = out.get(key, Fraction(0)) + coef
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
+            out[(a, i, c)] = out.get((a, i, c), 0) + coef
+    return {key: v for key, v in out.items() if v}
 
 
 def from_h_basis(coeffs: dict[Monomial, Fraction | int], ctx: SchurContext) -> Element:
@@ -302,15 +288,8 @@ def from_h_basis(coeffs: dict[Monomial, Fraction | int], ctx: SchurContext) -> E
         # h^i = (sign*(2H - d))^i expanded in powers of H.
         for t in range(i + 1):
             coef = Fraction(q) * sign**i * comb(i, t) * 2**t * (-d) ** (i - t)
-            if coef == 0:
-                continue
-            key = (a, t, c)
-            v = power.get(key, Fraction(0)) + coef
-            if v:
-                power[key] = v
-            else:
-                power.pop(key, None)
-    return from_power_basis(power, ctx)
+            power[(a, t, c)] = power.get((a, t, c), 0) + coef
+    return from_power_basis({key: v for key, v in power.items() if v}, ctx)
 
 
 # -- minimal polynomials ----------------------------------------------------

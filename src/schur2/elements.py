@@ -237,12 +237,6 @@ class Element:
         return cls(flavor, {(a, b, 0, c): coeff})
 
     @classmethod
-    def term(
-        cls, a: int, b1: int, b2: int, c: int, flavor: Flavor = Flavor.FHE, coeff: Scalar = 1
-    ) -> "Element":
-        return cls(flavor, {(a, b1, b2, c): coeff})
-
-    @classmethod
     def divided_power(cls, letter: str, m: int, flavor: Flavor = Flavor.FHE) -> "Element":
         """E(m) or F(m)."""
         left, right = flavor.letters

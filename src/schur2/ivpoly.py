@@ -49,31 +49,13 @@ def binom_product_coeffs(i: int, j: int) -> tuple[int, ...]:
     return _trim(out)
 
 
-def _shift_once(coeffs: Sequence[int], up: bool) -> tuple[int, ...]:
-    """One Pascal step: coefficients of P(H+1) (up) or P(H-1) (down)."""
-    n = len(coeffs)
-    if n == 0:
-        return ()
-    out = [0] * n
-    if up:
-        # binom(H+1,b) = binom(H,b) + binom(H,b-1)
-        for b in range(n):
-            out[b] = coeffs[b] + (coeffs[b + 1] if b + 1 < n else 0)
-    else:
-        # Invert the previous step from the top coefficient down.
-        out[n - 1] = coeffs[n - 1]
-        for b in range(n - 2, -1, -1):
-            out[b] = coeffs[b] - out[b + 1]
-    return _trim(out)
-
-
 @lru_cache(maxsize=None)
 def binom_shift_coeffs(b: int, s: int) -> tuple[int, ...]:
-    """Coefficients of binom(H+s, b) over the binomial basis in H."""
-    coeffs: tuple[int, ...] = (0,) * b + (1,)
-    for _ in range(abs(s)):
-        coeffs = _shift_once(coeffs, up=s > 0)
-    return coeffs
+    """Coefficients of binom(H+s, b) over the binomial basis in H.
+
+    Chu-Vandermonde: binom(H+s,b) = sum_j binom(s,b-j) binom(H,j), for any integer s.
+    """
+    return tuple(binom(s, b - j) for j in range(b + 1))
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +148,7 @@ class IVPoly:
         return IVPoly(self.var, tuple(out))
 
     def shift(self, s: int) -> "IVPoly":
-        """P(H+s), computed by iterated Pascal steps."""
+        """P(H+s), through the Chu-Vandermonde coefficients of each binom(H,b)."""
         out = [0] * len(self.coeffs)
         for b, c in enumerate(self.coeffs):
             if c == 0:

@@ -116,9 +116,7 @@ def bareiss_rank(a: np.ndarray) -> int:
 
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
     """Entries of an integral matrix mod p, as int64 in [0, p)."""
-    if a.dtype == object:
-        return np.array([[int(x) % p for x in row] for row in a], dtype=np.int64)
-    return a % p
+    return (a % p).astype(np.int64, copy=False)
 
 
 def _distinct_columns(red: np.ndarray, p: int) -> np.ndarray:

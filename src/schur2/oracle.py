@@ -9,7 +9,9 @@ sl2 actions of highest weight m = d, d-2, ..., on bases v_0..v_m with
 
 where m = d - 2k and H1 = d - H2. Both are faithful, and they are built from
 nothing the symbolic engine uses, so agreement between the three routes is
-meaningful evidence rather than a tautology.
+meaningful evidence rather than a tautology. H1, H2 and h act diagonally in
+both, so a minimal polynomial is the product of T - v over the distinct
+weights v. No model stores a matrix.
 
 Monomial images are closed forms of these actions, not matrix products.
 E^(c) v_j = binom(m-j+c,c) v_(j-c) and F^(a) v_i = binom(i+a,a) v_(i+a); on
@@ -55,14 +57,14 @@ import numpy as np
 from . import algebra, matrices
 from .algebra import SchurContext, StructureTable
 from .elements import Element, Flavor
-from .qpoly import Poly, prender
+from .qpoly import Poly, pfrom_roots, prender
 
 Monomial = tuple[int, int, int]
 Key = tuple[int, int, int, int]
 
 
 class Rep:
-    """A concrete matrix model: generator matrices and closed-form images.
+    """A concrete matrix model, defined by the closed forms of its action.
 
     `_entries(a, c, cols)` of a model lists the support of F^(a) P(H2) E^(c)
     in the given columns as (rows, cols, h2, coef): the entry is coef * P(h2),
@@ -70,11 +72,11 @@ class Rep:
     entries in probe vectors, and `_compose` applies an image to them.
     """
 
-    def __init__(self, d: int, e: np.ndarray, f: np.ndarray, h2: np.ndarray, swap: np.ndarray):
+    def __init__(self, d: int, h2: np.ndarray, swap: np.ndarray):
         self.d = d
-        self.dim = e.shape[0]
-        self._base = {"e": e, "f": f}
-        self._diag = {"H1": d - h2, "H2": h2}
+        self.dim = len(h2)
+        # Both models act diagonally on H1, H2 and h; these are their weights.
+        self._weights = {"H1": d - h2, "H2": h2, "h": d - 2 * h2}
         self._swap = swap
         # binom(n, k) as Python ints for n <= d and k <= d+1; column d+1 is zero.
         self._binom = np.array(
@@ -82,14 +84,12 @@ class Rep:
         )
 
     def generator_matrix(self, name: str) -> np.ndarray:
-        """e, f, H1, H2 or h as a dense int64 matrix."""
-        if name in ("e", "f"):
-            return self._base[name].copy()
-        if name in ("H1", "H2"):
-            return np.diag(self._diag[name])
-        if name == "h":
-            return np.diag(self._diag["H1"] - self._diag["H2"])
-        raise ValueError(f"unknown generator {name!r}")
+        """e, f, H1, H2 or h as a dense int64 matrix, from the closed forms."""
+        return eval_element(Element.generator(name), self).astype(np.int64)
+
+    def diagonal_min_poly(self, name: str) -> Poly:
+        """Minimal polynomial of H1, H2 or h: the product of T - v over its distinct weights."""
+        return pfrom_roots(sorted(set(self._weights[name].tolist())))
 
     def _h_values(self, b1: int, b2: int) -> np.ndarray:
         """binom(H1,b1) binom(H2,b2) at H2 = 0..d."""
@@ -133,16 +133,10 @@ class _WeightRep(Rep):
             [(k, j, d - 2 * k - j) for k in range(d // 2 + 1) for j in range(d - 2 * k + 1)],
             dtype=np.int64,
         ).T
-        dim = len(pos)
-        e = np.zeros((dim, dim), dtype=np.int64)
-        f = np.zeros((dim, dim), dtype=np.int64)
-        j = np.flatnonzero(top > 0)
-        f[j + 1, j] = pos[j] + 1
-        e[j, j + 1] = top[j]
-        self._pos, self._top = pos, top
-        super().__init__(d, e, f, k + pos, np.arange(dim) - pos + top)
-        self._probe_cols = np.arange(dim)
-        self._width = dim
+        self._k, self._pos, self._top = k, pos, top
+        super().__init__(d, k + pos, np.arange(len(pos)) - pos + top)
+        self._probe_cols = np.arange(self.dim)
+        self._width = self.dim
 
     def _entries(self, a: int, c: int, cols: np.ndarray):
         keep = (self._pos[cols] >= c) & (self._top[cols] >= a - c)
@@ -152,7 +146,7 @@ class _WeightRep(Rep):
         # clamped binomial column stays inside the table.
         coef = self._binom[self._top[cols] + c, min(c, self.d + 1)]
         coef = coef * self._binom[i + a, min(a, self.d + 1)]
-        return cols + a - c, cols, self._diag["H2"][cols] - c, coef
+        return cols + a - c, cols, self._k[cols] + i, coef
 
     def _probe_index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return cols
@@ -168,16 +162,8 @@ class _TensorRep(Rep):
 
     def __init__(self, d: int):
         dim = 1 << d
-        words = np.arange(dim)
-        e = np.zeros((dim, dim), dtype=np.int64)
-        f = np.zeros((dim, dim), dtype=np.int64)
-        for bit in (1 << pos for pos in range(d)):
-            w = words[words & bit > 0]
-            e[w ^ bit, w] = 1
-            w = words[words & bit == 0]
-            f[w | bit, w] = 1
         counts = np.array([bin(w).count("1") for w in range(dim)], dtype=np.int64)
-        super().__init__(d, e, f, counts, words ^ (dim - 1))
+        super().__init__(d, counts, np.arange(dim) ^ (dim - 1))
         self._count = counts
         # Word 1^(d-k) 2^k has its 2s in the low k bits, so its popcount is k.
         self._probe_cols = (1 << np.arange(d + 1)) - 1
@@ -266,11 +252,6 @@ def shift_groups(monos: list[Monomial], rep: Rep) -> Iterator[np.ndarray]:
 def rank_of_images(monos: list[Monomial], rep: Rep) -> int:
     """Exact rank of the span of the monomial images: the sum over shifts."""
     return sum(matrices.exact_rank(g) for g in shift_groups(monos, rep))
-
-
-def matrix_min_poly(mat: np.ndarray) -> Poly:
-    """Exact minimal polynomial of a matrix (int64 or exact-object entries)."""
-    return matrices.min_poly(mat)
 
 
 def relations_hold(relations: list[tuple[str, Element]], rep: Rep) -> tuple[bool, list[str]]:
@@ -431,7 +412,7 @@ def verify_suite(d: int, oracle: str = "auto", flavor: Flavor = Flavor.FHE) -> V
             prender(sym),
         )
         for rep in reps:
-            got = matrix_min_poly(rep.generator_matrix(gen))
+            got = rep.diagonal_min_poly(gen)
             report.add(
                 f"minpoly:{gen}:{rep.kind}",
                 got == expected,

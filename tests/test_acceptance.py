@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from schur2 import matrices
 from schur2.algebra import (
     SchurContext,
     basis,
@@ -33,7 +34,6 @@ from schur2.elements import Element, Flavor, mul
 from schur2.ivpoly import IVPoly
 from schur2.oracle import (
     eval_element,
-    matrix_min_poly,
     products_match,
     rank_of_images,
     relations_hold,
@@ -81,7 +81,7 @@ def test_criterion_2_minimal_polynomials_four_routes():
                 symbolic = min_poly(Element.generator(gen), ctx)
                 assert symbolic == closed, (d, gen)
                 for rep in reps:
-                    got = matrix_min_poly(rep.generator_matrix(gen))
+                    got = matrices.min_poly(rep.generator_matrix(gen))
                     assert got == closed, (d, gen, rep.kind)
 
 

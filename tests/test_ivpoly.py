@@ -143,11 +143,12 @@ def test_coefficient_tables_agree_with_definitions():
                 rhs = sum(c * binom(n, k) for k, c in enumerate(coeffs))
                 assert lhs == rhs
     # Shift and complement tables likewise.
-    for b in range(5):
-        for s in range(-3, 4):
+    for b in range(13):
+        for s in range(-15, 16):
             coeffs = binom_shift_coeffs(b, s)
             for n in range(-2, b + 5):
                 assert binom(n + s, b) == sum(c * binom(n, k) for k, c in enumerate(coeffs))
+    for b in range(5):
         for d in range(5):
             coeffs = binom_complement_coeffs(b, d)
             for n in range(-2, b + 5):

@@ -21,6 +21,7 @@ import pytest
 import schur2
 import schur2.algebra as algebra
 import schur2.elements as elements
+import schur2.matrices as matrices
 import schur2.oracle as oracle
 from schur2.algebra import (
     SchurContext,
@@ -34,7 +35,6 @@ from schur2.algebra import (
 from schur2.elements import Element, Flavor, mul
 from schur2.oracle import (
     eval_element,
-    matrix_min_poly,
     products_match,
     rank_of_images,
     relations_hold,
@@ -102,32 +102,73 @@ def test_rep_dimensions():
         assert weight_rep(d).dim == sum(blocks)
 
 
-def _divided_powers(rep, letter, top):
-    """g^m / m! for m <= top from the generator matrix, by object matmul."""
-    g = rep.generator_matrix(letter).astype(object)
-    acc = np.eye(rep.dim, dtype=np.int64).astype(object)
+def _action_generators(rep):
+    """e, f and the H2 weights of a model, built here from its action rules."""
+    d, n = rep.d, rep.dim
+    e = np.zeros((n, n), dtype=np.int64)
+    f = np.zeros((n, n), dtype=np.int64)
+    if rep.kind == "tensor":
+        # e rewrites one letter 2 to 1, f one letter 1 to 2; H2 counts the 2s.
+        h2 = [bin(w).count("1") for w in range(n)]
+        for w in range(n):
+            for bit in (1 << p for p in range(d)):
+                if w & bit:
+                    e[w ^ bit, w] = 1
+                else:
+                    f[w | bit, w] = 1
+    else:
+        # Blocks of highest weight m = d-2k on v_0..v_m, one after another:
+        # f v_j = (j+1) v_(j+1), e v_j = (m-j+1) v_(j-1), H2 v_j = (k+j) v_j.
+        h2, start = [], 0
+        for k in range(d // 2 + 1):
+            m = d - 2 * k
+            for j in range(m + 1):
+                h2.append(k + j)
+                if j < m:
+                    f[start + j + 1, start + j] = j + 1
+                if j > 0:
+                    e[start + j - 1, start + j] = m - j + 1
+            start += m + 1
+    return {"e": e, "f": f}, np.array(h2, dtype=np.int64)
+
+
+def test_generator_matrices_follow_the_action_rules():
+    for d in range(7):
+        for make in (tensor_rep, weight_rep):
+            rep = make(d)
+            gens, h2 = _action_generators(rep)
+            gens.update(H1=np.diag(d - h2), H2=np.diag(h2), h=np.diag(d - 2 * h2))
+            for name, expected in gens.items():
+                got = rep.generator_matrix(name)
+                assert got.dtype == np.int64, (d, rep.kind, name)
+                assert np.array_equal(got, expected), (d, rep.kind, name)
+
+
+def _divided_powers(g, top):
+    """g^m / m! for m <= top, by object matmul."""
+    g = g.astype(object)
+    acc = np.eye(len(g), dtype=np.int64).astype(object)
     out = [acc]
     for m in range(1, top + 1):
         acc = acc @ g
         quot = acc // math.factorial(m)
-        assert np.array_equal(quot * math.factorial(m), acc), (rep.kind, letter, m)
+        assert np.array_equal(quot * math.factorial(m), acc), m
         out.append(quot)
     return out
 
 
 def test_divided_powers_are_integral_quotients():
     # Every closed-form image equals (L^a/a!) binom(H1,b1) binom(H2,b2) (R^c/c!)
-    # built here from the generator matrices, each division exact. Exponents
-    # run to d+2, where the divided powers are zero.
+    # built here from the action rules, each division exact. Exponents run to
+    # d+2, where the divided powers are zero.
     for d in range(6):
         for make in (tensor_rep, weight_rep):
             rep = make(d)
-            powers = {g: _divided_powers(rep, g, d + 2) for g in ("e", "f")}
-            h1 = np.diag(rep.generator_matrix("H1"))
-            h2 = np.diag(rep.generator_matrix("H2"))
+            gens, h2 = _action_generators(rep)
+            powers = {g: _divided_powers(gens[g], d + 2) for g in ("e", "f")}
             middles = {
                 (b1, b2): np.array(
-                    [math.comb(int(x), b1) * math.comb(int(y), b2) for x, y in zip(h1, h2)],
+                    [math.comb(d - int(y), b1) * math.comb(int(y), b2) for y in h2],
                     dtype=object,
                 )
                 for b1 in range(3)
@@ -175,15 +216,15 @@ def test_probes_stay_exact_beyond_int64():
     # bidiagonal generators applied exactly.
     rep = weight_rep(40)
     n = rep.dim
-    e_sup = np.diagonal(rep.generator_matrix("e"), 1).astype(object)
-    f_sub = np.diagonal(rep.generator_matrix("f"), -1).astype(object)
+    gens, h2 = _action_generators(rep)
+    e_sup = np.diagonal(gens["e"], 1).astype(object)
+    f_sub = np.diagonal(gens["f"], -1).astype(object)
     m = np.eye(n, dtype=np.int64).astype(object)
     for k in range(1, 15):
         step = np.zeros((n, n), dtype=object)
         step[:-1] = e_sup[:, None] * m[1:]
         assert not (step % k).any()
         m = step // k
-    h2 = np.diag(rep.generator_matrix("H2"))
     m = np.array([math.comb(int(h), 10) for h in h2], dtype=object)[:, None] * m
     for k in range(1, 15):
         step = np.zeros((n, n), dtype=object)
@@ -270,14 +311,39 @@ def test_rank_of_images_matches_dimension():
 
 
 def test_matrix_min_poly_frozen():
-    assert matrix_min_poly(tensor_rep(2).generator_matrix("H1")) == ptrim([0, 2, -3, 1])
-    assert matrix_min_poly(tensor_rep(1).generator_matrix("h")) == ptrim([-1, 0, 1])
-    assert matrix_min_poly(np.zeros((3, 3), dtype=np.int64)) == ptrim([0, 1])
+    assert matrices.min_poly(tensor_rep(2).generator_matrix("H1")) == ptrim([0, 2, -3, 1])
+    assert matrices.min_poly(tensor_rep(1).generator_matrix("h")) == ptrim([-1, 0, 1])
+    assert matrices.min_poly(np.zeros((3, 3), dtype=np.int64)) == ptrim([0, 1])
     # At d=20 the coefficients exceed 2**62.
     rep = weight_rep(20)
-    assert matrix_min_poly(rep.generator_matrix("H1")) == expected_h_var_min_poly(20)
-    assert matrix_min_poly(rep.generator_matrix("H2")) == expected_h_var_min_poly(20)
-    assert matrix_min_poly(rep.generator_matrix("h")) == expected_h_min_poly(20)
+    assert matrices.min_poly(rep.generator_matrix("H1")) == expected_h_var_min_poly(20)
+    assert matrices.min_poly(rep.generator_matrix("H2")) == expected_h_var_min_poly(20)
+    assert matrices.min_poly(rep.generator_matrix("h")) == expected_h_min_poly(20)
+
+
+def test_diagonal_min_polys_match_krylov():
+    # verify reads each minimal polynomial off the model's weights; the
+    # Krylov route on the dense diagonal must agree, also at d=0.
+    for d in range(9):
+        for make in (tensor_rep, weight_rep):
+            rep = make(d)
+            for gen in ("H1", "H2", "h"):
+                want = matrices.min_poly(rep.generator_matrix(gen))
+                assert rep.diagonal_min_poly(gen) == want, (d, rep.kind, gen)
+
+
+def test_verify_suite_catches_a_moved_weight(monkeypatch):
+    # One H2 weight moved to d+1 leaves every closed form alone, so exactly
+    # the model's H2 minimal polynomial must fail.
+    d = 3
+    for make in (tensor_rep, weight_rep):
+        rep = make(d)
+        moved = rep._weights["H2"].copy()
+        moved[0] = d + 1
+        rep._weights = dict(rep._weights, H2=moved)
+        monkeypatch.setattr(oracle, "_selected_reps", lambda d, selection, _rep=rep: [_rep])
+        failing = [c.name for c in verify_suite(d).checks if not c.passed]
+        assert failing == [f"minpoly:H2:{rep.kind}"], failing
 
 
 def test_relations_hold_in_models():
@@ -389,7 +455,13 @@ def test_verify_suite_passes():
 
 def test_verify_suite_builds_relations_once_and_no_dense_image(monkeypatch):
     calls = {}
-    for module, name in ((algebra, "presentation_relations"), (oracle, "eval_element")):
+    counted_names = (
+        (algebra, "presentation_relations"),
+        (oracle, "eval_element"),
+        (oracle.Rep, "generator_matrix"),
+        (matrices, "min_poly"),
+    )
+    for module, name in counted_names:
 
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
@@ -397,9 +469,14 @@ def test_verify_suite_builds_relations_once_and_no_dense_image(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     for selection in ("auto", "tensor", "weight", "both"):
-        calls.update(presentation_relations=0, eval_element=0)
+        calls.update(presentation_relations=0, eval_element=0, generator_matrix=0, min_poly=0)
         assert verify_suite(3, oracle=selection).all_passed, selection
-        assert calls == {"presentation_relations": 1, "eval_element": 0}, selection
+        assert calls == {
+            "presentation_relations": 1,
+            "eval_element": 0,
+            "generator_matrix": 0,
+            "min_poly": 0,
+        }, selection
 
 
 def test_verify_suite_oracle_selection():

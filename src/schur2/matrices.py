@@ -8,12 +8,16 @@ bounds that no overflow can occur; the rank certificate below works in int64
 on residues mod p.
 
 Rank is exact. For an integral matrix with m rows, `exact_rank` first tries
-to certify full row rank mod p in two steps, all in bounded int64:
+to certify full row rank mod p, all in bounded int64:
 
-1. Column selection: each column gets a fingerprint, its residue mod p dotted
-   with fixed row weights; the first column of each distinct nonzero
-   fingerprint is kept. Any column subset S gives rank(M[:,S]) <= rank(M) <= m,
-   so a fingerprint collision can cost speed, never correctness.
+1. Columns: the matrix is reduced mod p once, and columns that are zero mod p
+   are dropped. Any column subset S gives rank(M[:,S]) <= rank(M) <= m, so a
+   dropped column can cost the certificate, never correctness. Nothing else is
+   selected: the callers pass one stack of probe vectors per shift, square
+   with no zero column in the weight model, and zero outside its shift's
+   columns in the word model. The word model's repeated columns are left in;
+   once an earlier copy has pivoted, each costs one scan of a zero column,
+   less than building a fingerprint of every column would.
 2. Certificate: the kept residues are eliminated mod p, each pivot updating
    only the rows below it that are nonzero in its column. Full row rank mod p
    gives full row rank over Q (a nonzero minor mod p is a nonzero integer
@@ -44,7 +48,6 @@ from .qpoly import Poly, plcm, pmonic, ptrim
 
 _INT64_SAFE = 2**62
 _CERT_PRIME = 2**31 - 1
-_FINGERPRINT_SEED = 20000
 
 
 def zeros(n: int, m: int | None = None) -> np.ndarray:
@@ -114,24 +117,6 @@ def bareiss_rank(a: np.ndarray) -> int:
     return rank
 
 
-def _residues(a: np.ndarray, p: int) -> np.ndarray:
-    """Entries of an integral matrix mod p, as int64 in [0, p)."""
-    return (a % p).astype(np.int64, copy=False)
-
-
-def _distinct_columns(red: np.ndarray, p: int) -> np.ndarray:
-    """Indices of the first column of each distinct nonzero fingerprint mod p.
-
-    `red` holds residues mod p. Weights and residues are below p < 2**31, so
-    each product is below 2**62, and it is reduced mod p before a column's m
-    of them are summed (m < 2**32).
-    """
-    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(1, p, size=red.shape[0])
-    fingerprint = (red * weights[:, None] % p).sum(axis=0) % p
-    values, first = np.unique(fingerprint, return_index=True)
-    return np.sort(first[values != 0])
-
-
 def _modp_rank(red: np.ndarray, p: int) -> int:
     """Rank of a residue matrix (int64 entries in [0, p)) over GF(p); modifies red."""
     m, n = red.shape
@@ -153,21 +138,16 @@ def _modp_rank(red: np.ndarray, p: int) -> int:
     return r
 
 
-def _full_row_rank_mod_p(a: np.ndarray) -> bool:
-    """Whether the selected columns of an integral `a` have full row rank mod p."""
-    p = _CERT_PRIME
-    red = _residues(a, p)
-    return _modp_rank(red[:, _distinct_columns(red, p)], p) == a.shape[0]
-
-
 def exact_rank(a: np.ndarray) -> int:
     """Exact rank over Q.
 
     Integral input (any integer dtype, or object ints) first tries the mod-p
-    certificate of full row rank: select columns by fingerprint and eliminate
-    them mod p. Full row rank there makes the answer the row count, exactly.
-    Otherwise, and for Fraction entries, Bareiss elimination on the full
-    exact matrix gives the rank.
+    certificate of full row rank: reduce mod p once, drop the columns that are
+    zero there and eliminate the rest. Full row rank there makes the answer the
+    row count, exactly. The oracles' probe stacks come one per shift, so no
+    further column selection pays (module docstring). Otherwise, and for
+    Fraction entries, Bareiss elimination on the full exact matrix gives the
+    rank.
     """
     a = np.asarray(a)
     if a.dtype != object:
@@ -176,8 +156,10 @@ def exact_rank(a: np.ndarray) -> int:
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    if is_integral(a) and _full_row_rank_mod_p(a):
-        return m
+    if is_integral(a):
+        red = (a % _CERT_PRIME).astype(np.int64, copy=False)
+        if _modp_rank(red[:, red.any(axis=0)], _CERT_PRIME) == m:
+            return m
     return bareiss_rank(a)
 
 

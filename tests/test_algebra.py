@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from schur2 import algebra, elements
 from schur2.algebra import (
     SchurContext,
     _collision_table,
@@ -332,10 +333,34 @@ def test_perturbed_relation_fails():
     assert not normalize(wrong, ctx).is_zero()
 
 
-def test_quotient_map_check():
-    for d in (0, 1, 2, 4):
+def test_quotient_map_check(monkeypatch):
+    calls = []
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    # The (d+2)-truncation product is multiplied inside S(2,d): no U-mode product.
+    monkeypatch.setattr(algebra, "mul", counting_mul)
+    monkeypatch.setattr(elements, "mul", counting_mul)
+    for d in (0, 1, 2, 4, 9):
         assert quotient_map_check(SchurContext(d))
         assert quotient_map_check(SchurContext(d, Flavor.EHF))
+    assert not calls
+    monkeypatch.undo()
+
+    # Without the truncation the product survives, so the check is not vacuous.
+    original = algebra._reduce_table
+    original.cache_clear()
+    monkeypatch.setattr(algebra, "_reduce_table", lambda d, a, b, c: (((a, b, c), 1),))
+    try:
+        for d in (0, 1, 4):
+            assert not quotient_map_check(SchurContext(d))
+            assert not quotient_map_check(SchurContext(d, Flavor.EHF))
+    finally:
+        monkeypatch.undo()
+        original.cache_clear()
+    assert quotient_map_check(SchurContext(4))
 
 
 def test_context_rejects_negative_d():

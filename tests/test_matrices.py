@@ -112,6 +112,10 @@ def test_exact_rank_agrees_with_bareiss():
     cases.append(np.array(rand_rows(4, 6, -(2**62), 2**62), dtype=np.int64))
     twice = rand_rows(3, 5)
     cases.append(np.array(twice + [twice[1]], dtype=np.int64))
+    # Full rank only through a column of nonzero multiples of p: the residue
+    # filter drops that column, and the answer must still be exact.
+    square = _obj([[2, 1, 0, p], [1, 3, 1, -2 * p], [0, 1, 4, 3 * p], [0, 0, 0, 4 * p]])
+    cases.append(square)
     # Object input with entries above 2**63, full rank and rank deficient.
     big = [[2**64 + x for x in row] for row in rand_rows(3, 4)]
     cases.append(_obj(big))
@@ -119,6 +123,7 @@ def test_exact_rank_agrees_with_bareiss():
     for a in cases:
         assert exact_rank(a) == bareiss_rank(a)
     assert [exact_rank(a) for a in cases[:3]] == [7, 4, 5]
+    assert exact_rank(square) == 4
     assert exact_rank(cases[-1]) == 1
 
 

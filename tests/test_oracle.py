@@ -479,6 +479,23 @@ def test_verify_suite_builds_relations_once_and_no_dense_image(monkeypatch):
         }, selection
 
 
+def test_verify_suite_never_imports_numpy_random():
+    # The rank certificate needs no random weights; numpy.random alone costs
+    # about 6 MB of peak memory in a verify run.
+    code = (
+        "import sys\n"
+        "from schur2.oracle import verify_suite\n"
+        "if not (verify_suite(14).all_passed and verify_suite(8, 'both').all_passed):\n"
+        "    raise SystemExit('verify failed')\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    raise SystemExit('numpy.random was imported')\n"
+    )
+    src = str(Path(schur2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_suite_oracle_selection():
     tensor_only = verify_suite(1, oracle="tensor")
     kinds = {c.name for c in tensor_only.checks}

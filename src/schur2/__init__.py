@@ -51,6 +51,21 @@ from .qpoly import prender
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every module-level lru_cache of the symbolic engine.
+
+    Products, reductions and binomial tables are memoised per process; a test
+    that swaps one of those functions clears the caches so that no product
+    cached before the swap hides it.
+    """
+    from . import algebra, elements, ivpoly
+
+    for module in (elements, ivpoly, algebra):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
 __all__ = [
     "Element",
     "Flavor",
@@ -64,6 +79,7 @@ __all__ = [
     "basis",
     "binom",
     "check_relations",
+    "clear_caches",
     "commute_e_past_fdiv",
     "commute_poly_left",
     "dimension",

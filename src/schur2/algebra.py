@@ -300,20 +300,32 @@ def min_poly(x: Element, ctx: SchurContext) -> Poly:
 
     Left multiplication is faithful and unital, so its minimal polynomial is
     witnessed entirely by the identity seed: the first linear dependency among
-    the basis coordinates of 1, x, x^2, ... is the answer. Powers are taken
-    with mul_bd, each only once the previous one proved independent.
+    the basis coordinates of 1, x, x^2, ... is the answer. Each next power is
+    the last one times the rows m*x of right multiplication, one row per basis
+    monomial m, built by the product kernel the first time a power touches m
+    and kept for this call only. A power is taken only once the previous one
+    proved independent.
     """
-    monos = basis(ctx)
-    index = {mono: k for k, mono in enumerate(monos)}
-    y = normalize(x, ctx)
+    d = ctx.d
+    index = {mono: k for k, mono in enumerate(basis(ctx))}
+    ys = normalize(x, ctx).single_var_terms().items()
+    rows: dict[Monomial, dict[Monomial, Scalar]] = {}
 
     def powers():
-        power = Element.one(ctx.flavor)
+        power: dict[Monomial, Scalar] = {(0, 0, 0): 1}
         while True:
-            yield {index[mono]: q for mono, q in power.single_var_terms().items()}
-            power = mul_bd(power, y, ctx)
+            yield {index[mono]: q for mono, q in power.items()}
+            nxt: dict[Monomial, Scalar] = {}
+            for mono, q in power.items():
+                if mono not in rows:
+                    rows[mono] = {}
+                    for ym, qy in ys:
+                        _add_product(rows[mono], d, qy, mono, ym)
+                for m, c in rows[mono].items():
+                    nxt[m] = nxt.get(m, 0) + q * c
+            power = {m: q for m, q in nxt.items() if q}
 
-    return matrices.first_dependency(powers(), len(monos))
+    return matrices.first_dependency(powers(), len(index))
 
 
 def expected_h_var_min_poly(d: int) -> Poly:

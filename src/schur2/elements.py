@@ -19,6 +19,10 @@ one plain generator at a time (divided powers recombine through
 fdiv_merge). No truncation happens here; this is the untruncated algebra
 ("U-mode"). The quotient algebras live in schur2.algebra.
 
+The straightened product of two monomials has integer coefficients and does
+not depend on d, so `mul` caches it per (flavor, monomial, monomial) pair and
+only scales and adds the cached terms; powers and repeated requests reuse it.
+
 Coefficients are exact: plain int when integral, fractions.Fraction otherwise.
 """
 
@@ -353,23 +357,38 @@ class Element:
         return f"Element({self.flavor.value!r}, {render_element(self)!r})"
 
 
+@lru_cache(maxsize=None)
+def _mono_mul(flavor: Flavor, xkey: Key, ykey: Key) -> tuple[tuple[Key, int], ...]:
+    """Straightened product of two monomials, as integer (key, coef) pairs.
+
+    The middle collision R^(c) * L^(a2) comes from _cross; the outer middle
+    polynomials shift past the letters that cross them.
+    """
+    a, b1, b2, c = xkey
+    a2, p1, p2, c2 = ykey
+    out: dict[Key, int] = {}
+    for coef, aa, cc, mid in _cross(flavor, c, a2):
+        scal = coef * binom(a + aa, a) * binom(cc + c2, cc)
+        m = _biv_mul(_biv_shift({(b1, b2): 1}, aa, flavor), dict(mid))
+        m = _biv_mul(m, _biv_shift({(p1, p2): 1}, cc, flavor))
+        A, C = a + aa, cc + c2
+        for (q1, q2), mc in m.items():
+            key = (A, q1, q2, C)
+            out[key] = out.get(key, 0) + scal * mc
+    return tuple((key, q) for key, q in out.items() if q)
+
+
 def mul(x: Element, y: Element) -> Element:
-    """Straightened product in the untruncated algebra (U-mode)."""
+    """Straightened product in the untruncated algebra (U-mode), by cached pairs."""
     x._expect_flavor(y)
     flavor = x.flavor
+    ys = y.terms.items()
     out: dict[Key, Scalar] = {}
-    for (a, b1, b2, c), cx in x.terms.items():
-        left_mid = {(b1, b2): 1}
-        for (a2, p1, p2, c2), cy in y.terms.items():
+    for xkey, cx in x.terms.items():
+        for ykey, cy in ys:
             cxy = cx * cy
-            for coef, aa, cc, mid in _cross(flavor, c, a2):
-                scal = cxy * coef * binom(a + aa, a) * binom(cc + c2, cc)
-                m = _biv_mul(_biv_shift(left_mid, aa, flavor), dict(mid))
-                m = _biv_mul(m, _biv_shift({(p1, p2): 1}, cc, flavor))
-                A, C = a + aa, cc + c2
-                for (q1, q2), mc in m.items():
-                    key = (A, q1, q2, C)
-                    out[key] = out.get(key, 0) + scal * mc
+            for key, q in _mono_mul(flavor, xkey, ykey):
+                out[key] = out.get(key, 0) + cxy * q
     return Element(flavor, out)
 
 

@@ -33,7 +33,10 @@ kills every basis vector, hence the matrix, and divides the true minimal
 polynomial throughout, so the result is exact and certified by construction.
 The arithmetic is exact and sparse: the matrix is read once into its nonzero
 columns, vectors are {index: value} dicts of Python ints and Fractions, and
-the cost follows the nonzero entries, not the size of the coefficients.
+the cost follows the nonzero entries, not the size of the coefficients. The
+dependency search itself runs on integers: rows keep their integer pivots,
+each reduction divides out the content gcd, and one monic division at the end
+is the only Fraction step.
 """
 
 from __future__ import annotations
@@ -167,33 +170,45 @@ def first_dependency(vectors: Iterable[dict[int, int | Fraction]], dim: int) -> 
     """Monic c with c_0 v_0 + ... + c_k v_k = 0 for the first dependent prefix.
 
     Vectors are sparse, {index: value} with nonzero values, in a space of
-    dimension `dim`. Exact elimination keeps each stored row, pivoted on its
-    smallest index, beside the combination of the v_i it came from. The next
+    dimension `dim`. Each vector is scaled to integers once, beside its
+    combination of the v_i, and each stored row keeps its integer pivot on its
+    smallest index. A row with pivot p clears entry f as (p/g)*vec - (f/g)*row,
+    g = gcd(p, f), and the content gcd of vector and combination is divided out
+    after each step; only the final monic division uses fractions. The next
     vector is drawn only after the previous one proved independent, so a lazy
     Krylov sequence is computed no further than its first dependency.
     """
-    reduced: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
+    reduced: list[tuple[int, int, dict[int, int], dict[int, int]]] = []
     for k, vec in enumerate(vectors):
-        vec = dict(vec)
-        combo = {k: Fraction(1)}
-        for piv, row, row_combo in reduced:
+        den = math.lcm(*(v.denominator for v in vec.values()))
+        vec = {i: v.numerator * (den // v.denominator) for i, v in vec.items()}
+        combo = {k: den}
+        for piv, pv, row, row_combo in reduced:
             fac = vec.get(piv)
             if fac:
-                _axpy(vec, -fac, row)
-                _axpy(combo, -fac, row_combo)
+                g = math.gcd(pv, fac)
+                _axpy(vec, -fac // g, row, pv // g)
+                _axpy(combo, -fac // g, row_combo, pv // g)
+                content = math.gcd(*vec.values(), *combo.values())
+                if content != 1:
+                    vec = {i: v // content for i, v in vec.items()}
+                    combo = {i: q // content for i, q in combo.items()}
         if not vec:
             return pmonic(ptrim([combo.get(i, 0) for i in range(k + 1)]))
         if k >= dim:
             raise ArithmeticError("Krylov sequence failed to terminate")
         piv = min(vec)
-        inv = 1 / Fraction(vec[piv])
-        row = {i: v * inv for i, v in vec.items()}
-        reduced.append((piv, row, {i: q * inv for i, q in combo.items()}))
+        reduced.append((piv, vec[piv], vec, combo))
     raise ValueError("sequence ended before a linear dependency")
 
 
-def _axpy(y: dict[int, int | Fraction], a: int | Fraction, x: dict[int, int | Fraction]) -> None:
-    """y += a * x on sparse vectors; entries that cancel are dropped."""
+def _axpy(
+    y: dict[int, int | Fraction], a: int | Fraction, x: dict[int, int | Fraction], s: int = 1
+) -> None:
+    """y = s*y + a*x on sparse vectors; entries that cancel are dropped."""
+    if s != 1:
+        for i in y:
+            y[i] *= s
     for i, v in x.items():
         t = y.get(i, 0) + a * v
         if t:

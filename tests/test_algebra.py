@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from schur2 import algebra, elements
+from schur2 import algebra, clear_caches, elements
 from schur2.algebra import (
     SchurContext,
     _collision_table,
@@ -28,7 +28,7 @@ from schur2.algebra import (
     to_power_basis,
 )
 from schur2.elements import Element, Flavor, mul, substitute_offvar
-from schur2.qpoly import pfrom_roots, ptrim
+from schur2.qpoly import pfrom_roots, pmul, ptrim
 
 
 def test_dimension():
@@ -303,6 +303,34 @@ def test_min_poly_degrees():
         assert len(h) - 1 == d + 1
 
 
+@pytest.mark.parametrize("d", [6, 10])
+def test_min_poly_builds_each_row_once(monkeypatch, d):
+    # x = 2h + 3e - 5f is semisimple in sl2 with x^2 acting on weight m as
+    # (4 - 15) m^2, so its minimal polynomial on S(2,d), a sum of the simple
+    # modules of highest weight d, d-2, ..., is the product of T^2 + 11 m^2
+    # over m = d, d-2, ... > 0, times T when d is even.
+    ctx = SchurContext(d)
+    e, f, h = (Element.generator(g) for g in "efh")
+    x = 2 * h + 3 * e - 5 * f
+    expected = ptrim([0, 1]) if d % 2 == 0 else ptrim([1])
+    for m in range(d, 0, -2):
+        expected = pmul(expected, ptrim([11 * m * m, 0, 1]))
+    calls = []
+    original = algebra._add_product
+
+    def counting_add_product(*args):
+        calls.append(1)
+        return original(*args)
+
+    def no_mul_bd(*args):
+        raise AssertionError("min_poly must not call mul_bd")
+
+    monkeypatch.setattr(algebra, "_add_product", counting_add_product)
+    monkeypatch.setattr(algebra, "mul_bd", no_mul_bd)
+    assert min_poly(x, ctx) == expected
+    assert 0 < len(calls) <= dimension(d) * len(normalize(x, ctx).terms)
+
+
 def test_expected_min_polys():
     assert expected_h_var_min_poly(1) == pfrom_roots([0, 1])
     assert expected_h_min_poly(1) == pfrom_roots([1, -1])
@@ -350,8 +378,7 @@ def test_quotient_map_check(monkeypatch):
     monkeypatch.undo()
 
     # Without the truncation the product survives, so the check is not vacuous.
-    original = algebra._reduce_table
-    original.cache_clear()
+    clear_caches()
     monkeypatch.setattr(algebra, "_reduce_table", lambda d, a, b, c: (((a, b, c), 1),))
     try:
         for d in (0, 1, 4):
@@ -359,7 +386,7 @@ def test_quotient_map_check(monkeypatch):
             assert not quotient_map_check(SchurContext(d, Flavor.EHF))
     finally:
         monkeypatch.undo()
-        original.cache_clear()
+        clear_caches()
     assert quotient_map_check(SchurContext(4))
 
 

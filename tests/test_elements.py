@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from schur2 import elements
 from schur2.elements import (
     Element,
     Flavor,
@@ -26,7 +27,7 @@ from schur2.elements import (
     render_element,
     substitute_offvar,
 )
-from schur2.ivpoly import IVPoly
+from schur2.ivpoly import IVPoly, binom
 
 
 def test_fdiv_merge_examples():
@@ -135,6 +136,45 @@ def test_mul_associative_and_bilinear():
             assert mul(x, y + z) == mul(x, y) + mul(x, z)
             q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             assert mul(x.scale(q), y) == mul(x, y).scale(q)
+
+
+def _per_term_mul(x: Element, y: Element) -> Element:
+    """U-mode mul straightened term by term with no pair cache: the reference."""
+    flavor = x.flavor
+    out = {}
+    for (a, b1, b2, c), cx in x.terms.items():
+        for (a2, p1, p2, c2), cy in y.terms.items():
+            for coef, aa, cc, mid in elements._cross(flavor, c, a2):
+                scal = cx * cy * coef * binom(a + aa, a) * binom(cc + c2, cc)
+                m = elements._biv_mul(elements._biv_shift({(b1, b2): 1}, aa, flavor), dict(mid))
+                m = elements._biv_mul(m, elements._biv_shift({(p1, p2): 1}, cc, flavor))
+                for (q1, q2), mc in m.items():
+                    key = (a + aa, q1, q2, cc + c2)
+                    out[key] = out.get(key, 0) + scal * mc
+    return Element(flavor, out)
+
+
+def test_mul_pair_cache_matches_per_term_body():
+    rng = random.Random(73)
+    for flavor in (Flavor.FHE, Flavor.EHF):
+        for _ in range(8):
+            x = _random_element(rng, flavor, max_exp=3, nterms=4)
+            y = _random_element(rng, flavor, max_exp=3, nterms=3)
+            expected = _per_term_mul(x, y)
+            elements._mono_mul.cache_clear()
+            assert mul(x, y) == expected  # cold cache
+            hits = elements._mono_mul.cache_info().hits
+            assert mul(x, y) == expected  # warm cache
+            assert elements._mono_mul.cache_info().hits == hits + len(x.terms) * len(y.terms)
+        for _ in range(3):
+            x, y, z = (_random_element(rng, flavor, max_exp=3, nterms=2) for _ in range(3))
+            assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    # Cached pair products are integral; scalars enter only in mul.
+    assert all(
+        isinstance(q, int)
+        for key in [((1, 0, 1, 2), (2, 1, 0, 1)), ((0, 2, 0, 3), (3, 0, 2, 0))]
+        for _, q in elements._mono_mul(Flavor.FHE, *key)
+    )
 
 
 def _peel_product(r: int, s: int) -> Element:

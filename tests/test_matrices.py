@@ -24,7 +24,7 @@ from schur2.matrices import (
     zeros,
 )
 from schur2.oracle import shift_groups, tensor_rep, weight_rep
-from schur2.qpoly import peval, pfrom_roots, pmul, ptrim
+from schur2.qpoly import peval, pfrom_roots, pmonic, pmul, ptrim
 
 
 def _obj(rows):
@@ -46,6 +46,85 @@ def test_first_dependency():
     # a Krylov sequence.
     with pytest.raises(ArithmeticError):
         first_dependency([{0: 1}, {1: 1}], 1)
+
+
+def _fraction_first_dependency(vectors, dim):
+    """Elimination with pivot-normalised Fraction rows: the reference."""
+
+    def axpy(y, a, x):
+        for i, v in x.items():
+            t = y.get(i, 0) + a * v
+            if t:
+                y[i] = t
+            else:
+                del y[i]
+
+    reduced = []
+    for k, vec in enumerate(vectors):
+        vec = dict(vec)
+        combo = {k: Fraction(1)}
+        for piv, row, row_combo in reduced:
+            fac = vec.get(piv)
+            if fac:
+                axpy(vec, -fac, row)
+                axpy(combo, -fac, row_combo)
+        if not vec:
+            return pmonic(ptrim([combo.get(i, 0) for i in range(k + 1)]))
+        if k >= dim:
+            raise ArithmeticError("Krylov sequence failed to terminate")
+        piv = min(vec)
+        inv = 1 / Fraction(vec[piv])
+        reduced.append((piv, {i: v * inv for i, v in vec.items()}, {i: q * inv for i, q in combo.items()}))
+    raise ValueError("sequence ended before a linear dependency")
+
+
+def test_first_dependency_matches_fraction_elimination():
+    rng = random.Random(89)
+
+    def entry(fractions):
+        if fractions and rng.random() < 0.5:
+            return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+        return rng.randint(-9, 9) or 1
+
+    def sparse(dim, fractions):
+        return {i: entry(fractions) for i in rng.sample(range(dim), rng.randint(1, min(dim, 4)))}
+
+    cases = []
+    for trial in range(60):
+        dim = rng.randint(1, 9)
+        fractions = trial % 2 == 1
+        seq = [sparse(dim, fractions) for _ in range(rng.randint(0, dim - 1))]
+        # Close with a random combination of the prefix, which may be zero.
+        closing = {}
+        for vec in seq:
+            q = entry(fractions) if rng.random() < 0.7 else 0
+            for i, v in vec.items():
+                closing[i] = closing.get(i, 0) + q * v
+        seq.append({i: v for i, v in closing.items() if v})
+        cases.append((seq, dim))
+    # Krylov sequences of sparse integer matrices.
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        cols = [{i: rng.randint(-3, 3) for i in range(n) if rng.random() < 0.4} for _ in range(n)]
+        v, seq = {rng.randrange(n): 1}, []
+        for _ in range(n + 1):
+            seq.append(v)
+            out = {}
+            for j, x in v.items():
+                for i, c in cols[j].items():
+                    out[i] = out.get(i, 0) + x * c
+            v = {i: x for i, x in out.items() if x}
+        cases.append((seq, n))
+    cases.append(([{}], 3))  # dependency at k = 0
+    cases.append(([{0: Fraction(1, 2)}, {1: 3}, {}], 2))  # a zero vector after two
+    for seq, dim in cases:
+        expected = _fraction_first_dependency(seq, dim)
+        assert first_dependency(iter(seq), dim) == expected
+    assert first_dependency([{}], 3) == ptrim([1])
+    with pytest.raises(ArithmeticError):
+        first_dependency([{0: Fraction(1, 3)}, {1: 2}, {2: 5}], 2)
+    with pytest.raises(ArithmeticError):
+        _fraction_first_dependency([{0: Fraction(1, 3)}, {1: 2}, {2: 5}], 2)
 
 
 def test_rank_known_cases():

@@ -523,12 +523,16 @@ def test_verify_suite_catches_injected_sign_error():
             rows = rows[:-1] + ((-coef, aa, cc, mid),)
         return rows
 
+    # Cached monomial products would hide the swap, so clear every cache
+    # before and after each injection.
+    schur2.clear_caches()
     elements._cross = corrupted_cross
     try:
         failing = {c.name for c in verify_suite(2).checks if not c.passed}
         assert "relations:symbolic" in failing
     finally:
         elements._cross = original_cross
+        schur2.clear_caches()
 
     original_collision = algebra._collision_table
 
@@ -540,14 +544,14 @@ def test_verify_suite_catches_injected_sign_error():
             rows = rows[:-1] + ((aa, cc, mid[:-1] + ((m, -q),)),)
         return rows
 
-    original_collision.cache_clear()
+    schur2.clear_caches()
     algebra._collision_table = corrupted_collision
     try:
         failing = {c.name for c in verify_suite(2).checks if not c.passed}
         assert failing & {"products:tensor", "products:weight"}
     finally:
         algebra._collision_table = original_collision
-        original_collision.cache_clear()
+        schur2.clear_caches()
     assert verify_suite(2).all_passed
 
 

@@ -27,14 +27,25 @@ then reduced term by term. The untruncated U-mode engine of schur2.elements
 is not used: that mul_bd equals normalize(mul(x,y)) is a tested property
 comparing the two engines, and the structure constants are independently
 checked against the matrix oracles.
+
+The single-product kernel _add_product serves mul_bd and min_poly. The full
+table (structure_constants) reads the same two cached tables, flattened into
+arrays, and evaluates every basis pair in one vectorized pass per block of
+pairs: gather the collision terms, scale by the Pascal factors, expand
+through the reduction rows, sum by (pair, k). A block runs in int64 when an
+exact bit-length bound on its sums stays within 62 bits, and on Python ints
+(object arrays) otherwise; no floats are involved.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+
+import numpy as np
 
 from . import matrices
 from .elements import (
@@ -136,12 +147,13 @@ def _collision_table(
 
     the middle factor being binom(+-h - a2 - c + 2t, t) with +-h = d - 2H in
     both flavors. P_t has degree b+t+b2, so its values at H = 0..b+t+b2 fix
-    its (integral) binomial-basis coefficients.
+    its (integral) binomial-basis coefficients. Only the middle factor's upper
+    argument can be negative; t <= min(c, a2) keeps the outer two >= 0.
     """
     out = []
     for t in range(min(c, a2), -1, -1):
         values = [
-            binom(h + a2 - t, b) * binom(d - 2 * h - a2 - c + 2 * t, t) * binom(h + c - t, b2)
+            comb(h + a2 - t, b) * binom(d - 2 * h - a2 - c + 2 * t, t) * comb(h + c - t, b2)
             for h in range(b + t + b2 + 1)
         ]
         middle = tuple((m, q) for m, q in enumerate(values_to_coeffs(values)) if q)
@@ -201,18 +213,135 @@ class StructureTable:
         )
 
 
+# Pairs per block of the table build, and the largest bit length a summed
+# structure constant may reach for the block to run in int64.
+_BLOCK_PAIRS = 1 << 10
+_INT64_BITS = 62
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """values as int64, or as Python ints (dtype object) when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _bit_lengths(values: list[int]) -> np.ndarray:
+    return np.fromiter((abs(v).bit_length() for v in values), dtype=np.int32, count=len(values))
+
+
+def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each entry of the CSR rows `rows`: its position in `rows` and in the flat arrays."""
+    starts, lengths = ptr[rows], ptr[rows + 1] - ptr[rows]
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    first = np.cumsum(lengths) - lengths
+    return owner, np.arange(len(owner)) + (starts - first)[owner]
+
+
+class _TableKernel:
+    """The two cached tables of mul_bd's kernel at one d, flattened into arrays.
+
+    Collisions are CSR rows keyed by (b, c, a2, b2) in base d+1, one entry per
+    term L^(aa) binom(H,m) R^(cc); reductions are CSR rows keyed by the
+    unreduced monomial (A, m, C) in base 2d+1 (a product has degree <= 2d),
+    one entry per basis index k. Beside the values sit their bit lengths (per
+    reduction row, its widest entry), for the int64 bound.
+    """
+
+    def __init__(self, d: int, monos: list[Monomial]) -> None:
+        self.d, self.n = d, len(monos)
+        base, wide = d + 1, 2 * d + 1
+        self.a, self.b, self.c = np.array(monos, dtype=np.int64).reshape(-1, 3).T
+
+        tables, lengths = [], []
+        for b, c, a2, b2 in itertools.product(range(base), repeat=4):
+            rows = _collision_table(d, b, c, a2, b2) if b + c <= d and a2 + b2 <= d else ()
+            tables.append(rows)
+            lengths.append(sum(len(middle) for _, _, middle in rows))
+        self.col_ptr = np.cumsum([0, *lengths])
+        collisions = [entry for rows in tables for entry in rows]  # (aa, cc, middle)
+        count = int(self.col_ptr[-1])
+        # aa, cc <= d and m <= 2d; numpy raises rather than wraps past int16.
+        self.col_aa = np.fromiter((aa for aa, _, middle in collisions for _ in middle), np.int16, count)
+        self.col_cc = np.fromiter((cc for _, cc, middle in collisions for _ in middle), np.int16, count)
+        self.col_m = np.fromiter((m for _, _, middle in collisions for m, _ in middle), np.int16, count)
+        qs = [q for _, _, middle in collisions for _, q in middle]
+        self.col_q, self.col_bits = _int_array(qs), _bit_lengths(qs)
+
+        index = {mono: k for k, mono in enumerate(monos)}
+        lengths, ks, qs, widest = [], [], [], []
+        for big_a, m, big_c in itertools.product(range(wide), repeat=3):
+            row = _reduce_table(d, big_a, m, big_c) if big_a + m + big_c < wide else ()
+            lengths.append(len(row))
+            ks.extend(index[mono] for mono, _ in row)
+            qs.extend(q for _, q in row)
+            widest.append(max((abs(q).bit_length() for _, q in row), default=0))
+        self.red_ptr = np.cumsum([0, *lengths])
+        self.red_k = np.array(ks, dtype=np.int64)
+        self.red_q, self.red_bits = _int_array(qs), np.array(widest, dtype=np.int64)
+
+        pascal = [comb(up, low) for up in range(wide) for low in range(wide)]
+        self.pascal = _int_array(pascal).reshape(wide, wide)
+        self.pascal_bits = _bit_lengths(pascal).reshape(wide, wide)
+
+    def products(self, p0: int, p1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pair, k, q) of every nonzero structure constant of the pairs p0 <= p < p1.
+
+        Pair p is (p // n, p % n); the triples come sorted by (pair, k).
+        """
+        n, base, wide = self.n, self.d + 1, 2 * self.d + 1
+        pairs = np.arange(p0, p1)
+        i, j = pairs // n, pairs % n
+        keys = ((self.b[i] * base + self.c[i]) * base + self.a[j]) * base + self.b[j]
+        owner, ent = _gather(self.col_ptr, keys)
+        a, cc = self.a[i][owner], self.col_cc[ent]
+        big_a, big_c = a + self.col_aa[ent], cc + self.c[j][owner]
+        codes = (big_a * wide + self.col_m[ent]) * wide + big_c
+        term, red = _gather(self.red_ptr, codes)
+
+        target = owner[term] * n + self.red_k[red]
+        order = np.argsort(target)
+        target = target[order]
+        starts = np.flatnonzero(np.diff(target, prepend=-1))
+        if not len(starts):
+            return starts, starts, starts
+        # Each reduced term is below 2**bits in absolute value, so a sum of at
+        # most `most` of them is below 2**(bits + most.bit_length()).
+        bits = self.pascal_bits[big_a, a] + self.pascal_bits[big_c, cc] + self.col_bits[ent]
+        bits = int((bits + self.red_bits[codes]).max())
+        most = int(np.diff(starts, append=len(target)).max())
+        factors = [self.pascal[big_a, a], self.pascal[big_c, cc], self.col_q[ent], self.red_q[red]]
+        if bits + most.bit_length() > _INT64_BITS:
+            factors = [f.astype(object) for f in factors]
+        scale = factors[0] * factors[1] * factors[2]
+        sums = np.add.reduceat((scale[term] * factors[3])[order], starts)
+        keep = np.flatnonzero(sums != 0)
+        target = target[starts[keep]]
+        return target // n + p0, target % n, sums[keep]
+
+
 def structure_constants(ctx: SchurContext) -> StructureTable:
-    """Products of all ordered basis pairs, by mul_bd's kernel on the triples."""
-    d = ctx.d
+    """Products of all ordered basis pairs, in one vectorized pass per block.
+
+    The same formulas as _add_product, read from the same cached tables: each
+    block of pairs gathers its collision terms, scales them by the Pascal
+    factors, expands them through the reduction rows and sums by (pair, k).
+    """
     monos = basis(ctx)
-    index = {mono: k for k, mono in enumerate(monos)}
+    n = len(monos)
+    kernel = _TableKernel(ctx.d, monos)
+    ks = list(range(n))  # one int object per basis index, shared by all rows
     products: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
-    for i, x in enumerate(monos):
-        for j, y in enumerate(monos):
-            out: dict[Monomial, Scalar] = {}
-            _add_product(out, d, 1, x, y)
-            products[(i, j)] = tuple(sorted((index[mono], q) for mono, q in out.items() if q))
-    return StructureTable(d, ctx.flavor, tuple(monos), products)
+    for p0 in range(0, n * n, _BLOCK_PAIRS):
+        p1 = min(p0 + _BLOCK_PAIRS, n * n)
+        pair, k, q = kernel.products(p0, p1)
+        terms = list(zip(map(ks.__getitem__, k.tolist()), q.tolist()))
+        lo = 0
+        for p, hi in zip(range(p0, p1), np.cumsum(np.bincount(pair - p0, minlength=p1 - p0)).tolist()):
+            products[divmod(p, n)] = tuple(terms[lo:hi])
+            lo = hi
+    return StructureTable(ctx.d, ctx.flavor, tuple(monos), products)
 
 
 # -- basis conversions -----------------------------------------------------

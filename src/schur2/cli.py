@@ -62,6 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
 _BASIS_ROW = '    {\n      "a": %d,\n      "b": %d,\n      "c": %d\n    }'
 _PRODUCT_ROW = '    {\n      "i": %d,\n      "j": %d,\n      "terms": %s\n    }'
 _TERM = '        {\n          "k": %d,\n          "num": "%d",\n          "den": "%d"\n        }'
+# An int coefficient q is written as _TERM_HEAD % k + str(q) + _INT_TAIL, the
+# same bytes as _TERM % (k, q, 1).
+_TERM_HEAD = '        {\n          "k": %d,\n          "num": "'
+_INT_TAIL = '",\n          "den": "1"\n        }'
 
 
 def _write_table_json(table: StructureTable, fh: TextIO) -> None:
@@ -72,9 +76,13 @@ def _write_table_json(table: StructureTable, fh: TextIO) -> None:
     """
     fh.write('{\n  "d": %d,\n  "flavor": "%s",\n  "basis": [\n' % (table.d, table.flavor.value))
     fh.write(",\n".join(_BASIS_ROW % mono for mono in table.basis))
+    heads = [_TERM_HEAD % k for k in range(len(table.basis))]
     sep = '\n  ],\n  "products": [\n'
     for i, j in sorted(table.products):
-        terms = ",\n".join(_TERM % (k, q.numerator, q.denominator) for k, q in table.products[(i, j)])
+        terms = ",\n".join([
+            heads[k] + str(q) + _INT_TAIL if type(q) is int else _TERM % (k, q.numerator, q.denominator)
+            for k, q in table.products[(i, j)]
+        ])
         fh.write(sep + _PRODUCT_ROW % (i, j, f"[\n{terms}\n      ]" if terms else "[]"))
         sep = ",\n"
     fh.write("\n  ]\n}\n")

@@ -78,6 +78,8 @@ _D_POLY = {
 
 def _as_scalar(q: Scalar) -> Scalar:
     """Canonical scalar: ints stay ints, integral Fractions collapse to int."""
+    if type(q) is int:  # skips the ABC check below on the common case
+        return q
     if isinstance(q, Fraction):
         return int(q) if q.denominator == 1 else q
     return q

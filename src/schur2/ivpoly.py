@@ -68,13 +68,16 @@ def binom_complement_coeffs(b: int, d: int) -> tuple[int, ...]:
 
 
 def values_to_coeffs(values: Sequence[int]) -> tuple[int, ...]:
-    """Forward differences at 0: binomial-basis coefficients from P(0..n)."""
+    """Forward differences at 0: binomial-basis coefficients from P(0..n).
+
+    Differenced in place: after pass r, row[r:] holds the r-th differences
+    and row[r-1] is the (r-1)-th difference at 0.
+    """
     row = list(values)
-    out = []
-    while row:
-        out.append(row[0])
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    return _trim(out)
+    for r in range(1, len(row)):
+        for i in range(len(row) - 1, r - 1, -1):
+            row[i] -= row[i - 1]
+    return _trim(row)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from schur2 import algebra, clear_caches, elements
@@ -204,23 +205,58 @@ def test_structure_constants_identity_rows():
             assert table.products[(j, 0)] == ((j, 1),)
 
 
+def _mul_bd_products(ctx):
+    """The table's products, built one pair at a time from mul_bd on basis elements."""
+    monos = basis(ctx)
+    index = {mono: k for k, mono in enumerate(monos)}
+    elems = [Element.monomial(*mono, ctx.flavor) for mono in monos]
+    return {
+        (i, j): tuple(
+            sorted((index[m], q) for m, q in mul_bd(x, y, ctx).single_var_terms().items())
+        )
+        for i, x in enumerate(elems)
+        for j, y in enumerate(elems)
+    }
+
+
 def test_structure_constants_match_mul_bd_pairwise():
-    # structure_constants runs the product kernel on basis triples directly;
-    # the reference builds every entry from mul_bd on basis elements.
+    # structure_constants evaluates the product kernel's formulas on all basis
+    # pairs at once; the reference builds every entry from mul_bd.
     for flavor in Flavor:
         for d in range(6):
             ctx = SchurContext(d, flavor)
-            monos = basis(ctx)
-            index = {mono: k for k, mono in enumerate(monos)}
-            elems = [Element.monomial(*mono, flavor) for mono in monos]
-            expected = {
-                (i, j): tuple(
-                    sorted((index[m], q) for m, q in mul_bd(x, y, ctx).single_var_terms().items())
-                )
-                for i, x in enumerate(elems)
-                for j, y in enumerate(elems)
-            }
-            assert structure_constants(ctx).products == expected, (flavor, d)
+            assert structure_constants(ctx).products == _mul_bd_products(ctx), (flavor, d)
+
+
+def test_structure_constants_python_int_fallback(monkeypatch):
+    # A bit bound of 0 sends every block down the Python-int (object) path;
+    # the table must not change, and its coefficients stay plain ints.
+    assert algebra._int_array([1, 2**63]).dtype == object
+    assert algebra._int_array([1, 2**63 - 1]).dtype == np.int64
+    for flavor in Flavor:
+        for d in range(6):
+            ctx = SchurContext(d, flavor)
+            int64_table = structure_constants(ctx).products
+            n = dimension(d)
+            assert algebra._TableKernel(d, basis(ctx)).products(0, n * n)[2].dtype == np.int64
+            monkeypatch.setattr(algebra, "_INT64_BITS", 0)
+            assert algebra._TableKernel(d, basis(ctx)).products(0, n * n)[2].dtype == object
+            products = structure_constants(ctx).products
+            monkeypatch.undo()
+            assert products == int64_table == _mul_bd_products(ctx), (flavor, d)
+            assert all(type(q) is int for row in products.values() for _, q in row)
+
+
+@pytest.mark.parametrize("block", [1, 13, 55, 57, 3135])
+def test_structure_constants_block_boundaries(monkeypatch, block):
+    # Blocks are ranges of (i, j) pairs in row-major order; at d = 5 (56 basis
+    # elements) these sizes cut blocks inside a left factor's row, leave a
+    # short last block, and make blocks whose products all vanish.
+    ctx = SchurContext(5)
+    expected = _mul_bd_products(ctx)
+    assert () in expected.values()
+    monkeypatch.setattr(algebra, "_BLOCK_PAIRS", block)
+    assert structure_constants(ctx).products == expected
 
 
 def test_structure_constants_integral():

@@ -12,7 +12,6 @@ such as a failed exact division) or MemoryError, reported as one line
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import TextIO
@@ -66,6 +65,7 @@ _TERM = '        {\n          "k": %d,\n          "num": "%d",\n          "den":
 # same bytes as _TERM % (k, q, 1).
 _TERM_HEAD = '        {\n          "k": %d,\n          "num": "'
 _INT_TAIL = '",\n          "den": "1"\n        }'
+_CSV_ROW = "%d,%d,%d,%d,%d\n"
 
 
 def _write_table_json(table: StructureTable, fh: TextIO) -> None:
@@ -88,6 +88,16 @@ def _write_table_json(table: StructureTable, fh: TextIO) -> None:
     fh.write("\n  ]\n}\n")
 
 
+def _write_table_csv(table: StructureTable, fh: TextIO) -> None:
+    """The bytes of csv.writer(fh, lineterminator="\\n") over the rows (i, j, k, num, den)."""
+    fh.write("i,j,k,num,den\n")
+    for i, j in sorted(table.products):
+        fh.write("".join([
+            _CSV_ROW % (i, j, k, q, 1) if type(q) is int else _CSV_ROW % (i, j, k, q.numerator, q.denominator)
+            for k, q in table.products[(i, j)]
+        ]))
+
+
 def _cmd_normalize(args: argparse.Namespace) -> int:
     flavor = Flavor(args.flavor)
     ctx = SchurContext(args.d, flavor)
@@ -102,17 +112,9 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    ctx = SchurContext(args.d)
-    table = algebra.structure_constants(ctx)
+    table = algebra.structure_constants(SchurContext(args.d))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        if args.fmt == "json":
-            _write_table_json(table, fh)
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["i", "j", "k", "num", "den"])
-            for i, j in sorted(table.products):
-                for k, q in table.products[(i, j)]:
-                    writer.writerow([i, j, k, q.numerator, q.denominator])
+        (_write_table_json if args.fmt == "json" else _write_table_csv)(table, fh)
     return 0
 
 

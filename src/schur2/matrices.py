@@ -15,9 +15,7 @@ to certify full row rank mod p, all in bounded int64:
    dropped column can cost the certificate, never correctness. Nothing else is
    selected: the callers pass one stack of probe vectors per shift, square
    with no zero column in the weight model, and zero outside its shift's
-   columns in the word model. The word model's repeated columns are left in;
-   once an earlier copy has pivoted, each costs one scan of a zero column,
-   less than building a fingerprint of every column would.
+   orbit classes in the word model, one column per class.
 2. Certificate: the kept residues are eliminated mod p, each pivot updating
    only the rows below it that are nonzero in its column. Full row rank mod p
    gives full row rank over Q (a nonzero minor mod p is a nonzero integer

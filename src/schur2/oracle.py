@@ -32,18 +32,28 @@ conjugation, so they are checked on FHE images; `eval_element` conjugates back.
 An image moves H2 by its shift a-c, so images of different shifts have
 disjoint supports and ranks add over shifts. Within a shift an image is fixed
 by its probe vector: in the weight model one weight per source index, in the
-tensor model its columns at the d+1 orbit representatives 1^(d-k) 2^k. Every
-image lies in S(2,d) = End_{Sigma_d}(V^(x)d), where a map is fixed by one
-column per Sigma_d-orbit of words (Green, *Polynomial Representations of
-GL_n*, ch. 2), so restriction keeps ranks and decides equalities exactly.
+tensor model one entry per class (k, u, i) = (|W|, |U|, |U & W|). The classes
+are the binom(d+3,3) Sigma_d-orbits on pairs of words, and every map in
+S(2,d) = End_{Sigma_d}(V^(x)d) is constant on them (Green's basis xi_A,
+*Polynomial Representations of GL_n*, ch. 2), so probe vectors keep ranks and
+decide equalities exactly, with no array of length 2^d. A relation is zero
+iff, for every shift, the probe vectors of its terms sum to zero.
+
 Products compose probes: in the weight model as weighted shifts, in the
-tensor model as the left image times the right orbit columns. A relation is
-zero iff, for every shift, the probe vectors of its terms sum to zero.
+tensor model by Schur's counting rule. In (AB)[U,W] = sum over V of
+A[U,V] B[V,W], both factors see V only through the sizes x, y, z, t of its
+parts in U & W, U - W, W - U and outside U | W, so with v = x+y+z+t
+
+    AB(k,u,i) = sum of binom(i,x) binom(u-i,y) binom(k-i,z) binom(d-u-k+i,t)
+                       * A(v,u,x+y) * B(k,v,x+z),
+
+binom(d+7,7) terms in all, tabulated on first use.
 
 Entries are Python ints from a table of binomials. A stack of probe vectors
 is narrowed to int64 when its largest entry is below 2^62, as in every shift
-of the weight model up to d = 34; the product check uses int64 only under
-explicit bounds on its operands.
+of the weight model up to d = 34. The product check uses int64 only under
+bounds on its operands for length-2^d sums, which cover the counting rule
+too: it adds the same 2^d terms A[U,V] B[V,W], only grouped by class.
 """
 
 from __future__ import annotations
@@ -66,18 +76,17 @@ Key = tuple[int, int, int, int]
 class Rep:
     """A concrete matrix model, defined by the closed forms of its action.
 
-    `_entries(a, c, cols)` of a model lists the support of F^(a) P(H2) E^(c)
-    in the given columns as (rows, cols, h2, coef): the entry is coef * P(h2),
-    h2 being the H2-value of the intermediate vector. `_probe_index` places
-    entries in probe vectors, and `_compose` applies an image to them.
+    `_entries(a, c)` lists the probe vector of F^(a) P(H2) E^(c) as (positions,
+    h2, coef): the entry is coef * P(h2), h2 being the H2-value of the
+    intermediate vector. `_dense` writes per-shift probe vectors as a matrix,
+    and `_compose` applies an image to a stack of probe vectors.
     """
 
-    def __init__(self, d: int, h2: np.ndarray, swap: np.ndarray):
+    def __init__(self, d: int, h2: np.ndarray, dim: int, width: int):
         self.d = d
-        self.dim = len(h2)
+        self.dim, self._width = dim, width
         # Both models act diagonally on H1, H2 and h; these are their weights.
         self._weights = {"H1": d - h2, "H2": h2, "h": d - 2 * h2}
-        self._swap = swap
         # binom(n, k) as Python ints for n <= d and k <= d+1; column d+1 is zero.
         self._binom = np.array(
             [[comb(n, k) for k in range(d + 2)] for n in range(d + 1)], dtype=object
@@ -96,16 +105,6 @@ class Rep:
         h = np.arange(self.d + 1)
         return self._binom[self.d - h, min(b1, self.d + 1)] * self._binom[h, min(b2, self.d + 1)]
 
-    def _add_image(self, out: np.ndarray, a: int, c: int, p: np.ndarray) -> None:
-        """out += F^(a) P(H2) E^(c), with P given by its values p at H2 = 0..d."""
-        rows, cols, h2, coef = self._entries(a, c, np.arange(self.dim))
-        out[rows, cols] = out[rows, cols] + coef * p[h2]
-
-    def _add_probe(self, out: np.ndarray, a: int, c: int, p: np.ndarray) -> None:
-        """out += the probe vector of F^(a) P(H2) E^(c), P as in `_add_image`."""
-        rows, cols, h2, coef = self._entries(a, c, self._probe_cols)
-        out[self._probe_index(rows, cols)] += coef * p[h2]
-
     def probes(self, keys: list[Key]) -> np.ndarray:
         """Probe vectors of the FHE images of `keys`, one row each."""
         by_ac: dict[tuple[int, int], list[int]] = {}
@@ -113,14 +112,14 @@ class Rep:
             by_ac.setdefault((a, c), []).append(t)
         blocks, top = [], 0
         for (a, c), ts in by_ac.items():
-            rows, cols, h2, coef = self._entries(a, c, self._probe_cols)
+            pos, h2, coef = self._entries(a, c)
             p = np.array([self._h_values(keys[t][1], keys[t][2]) for t in ts])
             vals = p[:, h2] * coef
             top = max(top, vals.max(initial=0))
-            blocks.append((ts, self._probe_index(rows, cols), vals))
+            blocks.append((ts, pos, vals))
         out = np.zeros((len(keys), self._width), dtype=np.int64 if top < 2**62 else object)
-        for ts, idx, vals in blocks:
-            out[np.ix_(ts, idx)] = vals
+        for ts, pos, vals in blocks:
+            out[np.ix_(ts, pos)] = vals
         return out
 
 
@@ -129,31 +128,32 @@ class _WeightRep(Rep):
 
     def __init__(self, d: int):
         # v_j of the block k (highest weight m = d-2k) sits at pos j, top m-j.
-        k, pos, top = np.array(
+        self._k, self._pos, self._top = np.array(
             [(k, j, d - 2 * k - j) for k in range(d // 2 + 1) for j in range(d - 2 * k + 1)],
             dtype=np.int64,
         ).T
-        self._k, self._pos, self._top = k, pos, top
-        super().__init__(d, k + pos, np.arange(len(pos)) - pos + top)
-        self._probe_cols = np.arange(self.dim)
-        self._width = self.dim
+        super().__init__(d, self._k + self._pos, len(self._pos), len(self._pos))
 
-    def _entries(self, a: int, c: int, cols: np.ndarray):
-        keep = (self._pos[cols] >= c) & (self._top[cols] >= a - c)
-        cols = cols[keep]
+    def _entries(self, a: int, c: int):
+        cols = np.flatnonzero((self._pos >= c) & (self._top >= a - c))
         i = self._pos[cols] - c
         # E^(m) = F^(m) = 0 for m > d: then no column is kept, and the
         # clamped binomial column stays inside the table.
         coef = self._binom[self._top[cols] + c, min(c, self.d + 1)]
         coef = coef * self._binom[i + a, min(a, self.d + 1)]
-        return cols + a - c, cols, self._k[cols] + i, coef
+        return cols, self._k[cols] + i, coef
 
-    def _probe_index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return cols
+    def _dense(self, sums: dict[int, np.ndarray], conj: bool) -> np.ndarray:
+        # Column j of shift s sits at row j+s; reversing each block conjugates.
+        out = matrices.zeros(self.dim)
+        for s, v in sums.items():
+            j = np.flatnonzero(v)
+            out[j + s, j] = v[j]
+        swap = np.arange(self.dim) - self._pos + self._top
+        return out[np.ix_(swap, swap)] if conj else out
 
-    def _compose(self, key: Key, probes: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    def _compose(self, left: np.ndarray, probes: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         # B sends v_x to probes[j, x] v_(x+s_j); the left image then weighs v_(x+s_j).
-        left = self.probes([key])[0]
         return probes * left[np.clip(np.arange(self.dim) + shifts[:, None], 0, self.dim - 1)]
 
 
@@ -161,31 +161,45 @@ class _TensorRep(Rep):
     kind = "tensor"
 
     def __init__(self, d: int):
-        dim = 1 << d
-        counts = np.array([bin(w).count("1") for w in range(dim)], dtype=np.int64)
-        super().__init__(d, counts, np.arange(dim) ^ (dim - 1))
-        self._count = counts
-        # Word 1^(d-k) 2^k has its 2s in the low k bits, so its popcount is k.
-        self._probe_cols = (1 << np.arange(d + 1)) - 1
-        self._width = dim * (d + 1)
+        # Class (k, u, i) holds the pairs (U, W) with |W| = k, |U| = u, |U & W| = i.
+        n = range(d + 1)
+        classes = [(k, u, i) for k in n for u in n for i in range(max(0, k + u - d), min(k, u) + 1)]
+        self._k, self._u, self._i = np.array(classes, dtype=np.int64).T
+        self._index = np.zeros((d + 1,) * 3, dtype=np.int64)
+        self._index[self._k, self._u, self._i] = np.arange(len(classes))
+        self._rule = None
+        # The words of each H2-value 0..d form one orbit.
+        super().__init__(d, np.arange(d + 1), 1 << d, len(classes))
 
-    def _entries(self, a: int, c: int, cols: np.ndarray):
-        mid = self._count[cols] - c
-        rows, q = np.nonzero((self._count[:, None] == mid + a) & (mid >= 0))
-        cols, mid = cols[q], mid[q]
-        coef = self._binom[self._count[rows & cols], mid]
-        keep = coef != 0
-        return rows[keep], cols[keep], mid[keep], coef[keep]
+    def _entries(self, a: int, c: int):
+        mid = self._k - c
+        pos = np.flatnonzero((mid >= 0) & (self._u == mid + a) & (self._i >= mid))
+        return pos, mid[pos], self._binom[self._i[pos], mid[pos]]
 
-    def _probe_index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return rows * (self.d + 1) + self._count[cols]
+    def _dense(self, sums: dict[int, np.ndarray], conj: bool) -> np.ndarray:
+        # (U, W) reads the class (|W|, |U|, |U & W|); complementing words conjugates.
+        vec = sum(sums.values(), np.zeros(self._width, dtype=object))
+        words = np.arange(self.dim) ^ (self.dim - 1 if conj else 0)
+        count = np.array([bin(w).count("1") for w in range(self.dim)], dtype=np.int64)
+        u, w = words[:, None], words[None, :]
+        return vec[self._index[count[w], count[u], count[u & w]]]
 
-    def _compose(self, key: Key, probes: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        left = np.zeros((self.dim, self.dim), dtype=probes.dtype)
-        a, b1, b2, c = key
-        self._add_image(left, a, c, self._h_values(b1, b2))
-        n = len(probes)
-        return (left @ probes.reshape(n, self.dim, self.d + 1)).reshape(n, -1)
+    def _compose(self, left: np.ndarray, probes: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        if self._rule is None:
+            # Schur's counting rule (module docstring) as rows out, left, right, count.
+            d, ix, b = self.d, self._index, self._binom
+            self._rule = np.array([
+                (ix[k, u, i], ix[x + y + z + t, u, x + y], ix[k, x + y + z + t, x + z],
+                 b[i, x] * b[u - i, y] * b[k - i, z] * b[d - u - k + i, t])
+                for k, u, i in zip(self._k.tolist(), self._u.tolist(), self._i.tolist())
+                for x in range(i + 1) for y in range(u - i + 1) for z in range(k - i + 1)
+                for t in range(d - u - k + i + 1)
+            ], dtype=np.int64).T
+        out, lpos, rpos, count = self._rule
+        # m[r, o] sums count * left over the rule terms from right class r to class o.
+        m = np.zeros((self._width, self._width), dtype=probes.dtype)
+        np.add.at(m, (rpos, out), count * left[lpos])
+        return probes @ m
 
 
 def tensor_rep(d: int) -> Rep:
@@ -202,42 +216,31 @@ def weight_rep(d: int) -> Rep:
     return _WeightRep(d)
 
 
-def _middles(x: Element, rep: Rep) -> dict[tuple[int, int], np.ndarray]:
-    """The terms of x by (a, c), each group as its P(H2) at H2 = 0..d.
+def _probe_sums(x: Element, rep: Rep) -> dict[int, np.ndarray]:
+    """The probe vectors of x's FHE image, one per shift a-c.
 
-    Terms sharing (a, c) differ only in their middle polynomial. EHF terms
-    take the P of the FHE key with b1 and b2 swapped (module docstring).
+    Each (a, c) group of terms costs one closed form. EHF terms take the P of
+    the FHE key with b1 and b2 swapped (module docstring).
     """
     groups: dict[tuple[int, int], np.ndarray] = {}
     for (a, b1, b2, c), q in x.terms.items():
         p = q * (rep._h_values(b2, b1) if x.flavor is Flavor.EHF else rep._h_values(b1, b2))
         groups[(a, c)] = groups[(a, c)] + p if (a, c) in groups else p
-    return groups
+    sums: dict[int, np.ndarray] = {}
+    for (a, c), p in groups.items():
+        pos, h2, coef = rep._entries(a, c)
+        sums.setdefault(a - c, np.zeros(rep._width, dtype=object))[pos] += coef * p[h2]
+    return sums
 
 
 def eval_element(x: Element, rep: Rep) -> np.ndarray:
-    """Exact image of an element: an object ndarray of ints/Fractions.
-
-    Each (a, c) group costs one closed-form image with entries coef * P(h2).
-    """
-    out = matrices.zeros(rep.dim)
-    for (a, c), p in _middles(x, rep).items():
-        rep._add_image(out, a, c, p)
-    if x.flavor is Flavor.EHF:
-        out = out[np.ix_(rep._swap, rep._swap)]
-    return out
+    """Exact image of an element: an object ndarray of ints/Fractions."""
+    return rep._dense(_probe_sums(x, rep), x.flavor is Flavor.EHF)
 
 
 def vanishes(x: Element, rep: Rep) -> bool:
-    """Whether x acts as zero in the model, decided on probe vectors.
-
-    The (a, c) groups add into one probe vector per shift a-c, and x is zero
-    iff each sum is. An EHF image is zero iff its FHE conjugate is.
-    """
-    sums: dict[int, np.ndarray] = {}
-    for (a, c), p in _middles(x, rep).items():
-        rep._add_probe(sums.setdefault(a - c, np.zeros(rep._width, dtype=object)), a, c, p)
-    return not any(s.any() for s in sums.values())
+    """Whether x acts as zero: iff each per-shift probe sum is, FHE-conjugated for EHF."""
+    return not any(s.any() for s in _probe_sums(x, rep).values())
 
 
 def shift_groups(monos: list[Monomial], rep: Rep) -> Iterator[np.ndarray]:
@@ -276,9 +279,8 @@ def products_match(table: StructureTable, rep: Rep) -> tuple[bool, str]:
             if not isinstance(q, int):
                 return False, "structure constants are not integral"
             max_coef = max(max_coef, abs(q))
-    keys = [(a, 0, b, c) for a, b, c in monos]
     shifts = np.array([a - c for a, _, c in monos], dtype=np.int64)
-    probes = rep.probes(keys)
+    probes = rep.probes([(a, 0, b, c) for a, b, c in monos])
     bound = int(np.abs(probes).max(initial=0))
     if not (
         matrices.int64_safe(rep.dim, bound, bound) and matrices.int64_safe(n, max_coef, bound)
@@ -293,7 +295,7 @@ def products_match(table: StructureTable, rep: Rep) -> tuple[bool, str]:
         jj, kk = jj.astype(np.int64), kk.astype(np.int64)
         diff = np.zeros((n * slots, probes.shape[1]), dtype=probes.dtype)
         np.add.at(diff, jj * slots + slot[kk], qq[:, None] * probes[kk])
-        diff[np.arange(n) * slots + slot + shifts[i]] -= rep._compose(keys[i], probes, shifts)
+        diff[np.arange(n) * slots + slot + shifts[i]] -= rep._compose(probes[i], probes, shifts)
         bad = np.flatnonzero(diff.reshape(n, -1).any(axis=1))
         if bad.size:
             return False, f"product mismatch at basis pair {monos[i]} * {monos[bad[0]]}"
@@ -354,7 +356,7 @@ def verify_suite(d: int, oracle: str = "auto", flavor: Flavor = Flavor.FHE) -> V
 
     Covers: symbolic relation residues, relation images in the selected
     models, dimension/rank agreement, structure-constant integrality, the
-    full product table against matrix multiplication, minimal polynomials of
+    full product table against the models' products, minimal polynomials of
     H1, H2 and h by three routes, and the quotient-map property from d+2.
     """
     ctx = SchurContext(d, flavor)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from schur2 import algebra
 from schur2.algebra import SchurContext, StructureTable
-from schur2.cli import _write_table_json, entry
+from schur2.cli import _write_table_csv, _write_table_json, entry
 from schur2.elements import Flavor
 from schur2.exprs import parse_element
 
@@ -136,6 +137,36 @@ def test_table_csv_frozen(capsys, tmp_path):
     code, _, _ = _run(capsys, "table", "--d", "1", "--out", str(out_path), "--format", "csv")
     assert code == 0
     assert out_path.read_text() == _D1_CSV
+
+
+def _csv_reference(table):
+    """The CSV table as csv.writer writes it, one row per term."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["i", "j", "k", "num", "den"])
+    for i, j in sorted(table.products):
+        for k, q in table.products[(i, j)]:
+            q = Fraction(q)
+            writer.writerow([i, j, k, q.numerator, q.denominator])
+    return fh.getvalue()
+
+
+def test_table_csv_matches_csv_writer(capsys, tmp_path):
+    out_path = tmp_path / "d4.csv"
+    code, _, _ = _run(capsys, "table", "--d", "4", "--out", str(out_path), "--format", "csv")
+    assert code == 0
+    expected = _csv_reference(algebra.structure_constants(SchurContext(4)))
+    assert out_path.read_bytes() == expected.encode()
+    # Fraction and out-of-int64 coefficients take the same row template.
+    table = StructureTable(
+        7,
+        Flavor.EHF,
+        ((0, 0, 0), (1, 2, 3)),
+        {(1, 0): ((0, Fraction(-3, 4)), (1, 2**64 + 1)), (0, 0): (), (1, 1): ((0, -(2**63) - 3),)},
+    )
+    fh = io.StringIO()
+    _write_table_csv(table, fh)
+    assert fh.getvalue() == _csv_reference(table)
 
 
 def test_table_json_schema(capsys, tmp_path):

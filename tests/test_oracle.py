@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,18 +197,101 @@ def _position_swaps(d):
 
 
 def test_tensor_orbit_columns_fix_the_images():
-    # A tensor probe vector is the image's columns at the words 1^(d-k) 2^k.
-    # Every image commutes with permuting positions, so those columns fix it.
-    for d in range(8):
+    # The word action, applied here to the columns at the orbit words
+    # 1^(d-k) 2^k, must give at every row U the probe entry of the class
+    # (k, |U|, |U & W|). Every image commutes with permuting positions, so
+    # those columns fix it.
+    for d in range(9):
         rep = tensor_rep(d)
-        orbit = [(1 << k) - 1 for k in range(d + 1)]
+        gens, h2 = _action_generators(rep)
+        orbit = np.array([(1 << k) - 1 for k in range(d + 1)])
+        count = np.array([bin(w).count("1") for w in range(rep.dim)])
+        u = np.arange(rep.dim)[:, None]
+        cls = rep._index[np.arange(d + 1), count[u], count[u & orbit]]
+        # E^(c) on the orbit columns, each division exact.
+        e_cols = [np.eye(rep.dim, dtype=np.int64)[:, orbit]]
+        for c in range(1, d + 1):
+            step = gens["e"] @ e_cols[-1]
+            assert not (step % c).any()
+            e_cols.append(step // c)
         keys = [(a, 0, b, c) for a, b, c in basis(SchurContext(d))]
-        swaps = _position_swaps(d) if d <= 5 else []
         for key, probe in zip(keys, rep.probes(keys)):
-            full = eval_element(Element(Flavor.FHE, {key: 1}), rep)
-            assert np.array_equal(probe.reshape(rep.dim, d + 1), full[:, orbit]), (d, key)
-            for perm in swaps:
-                assert np.array_equal(full[np.ix_(perm, perm)], full), (d, key)
+            a, _, b, c = key
+            cols = np.array([math.comb(int(y), b) for y in h2])[:, None] * e_cols[c]
+            for m in range(1, a + 1):
+                cols = gens["f"] @ cols
+                assert not (cols % m).any()
+                cols //= m
+            assert np.array_equal(probe[cls], cols), (d, key)
+            if d <= 5:
+                full = eval_element(Element(Flavor.FHE, {key: 1}), rep)
+                for perm in _position_swaps(d):
+                    assert np.array_equal(full[np.ix_(perm, perm)], full), (d, key)
+
+
+def test_counted_products_match_dense_word_products():
+    # Schur's counting rule against products of images built from the word
+    # action: every basis pair up to d=4, a seeded sample of left factors at
+    # d=5, each with every right factor. The product is read at one pair of
+    # words per class.
+    rng = random.Random(131)
+    for d in range(6):
+        rep = tensor_rep(d)
+        gens, h2 = _action_generators(rep)
+        f_pow, e_pow = (_divided_powers(gens[g], d) for g in ("f", "e"))
+        monos = basis(SchurContext(d))
+        images = [
+            ((f_pow[a] * np.array([math.comb(int(y), b) for y in h2])) @ e_pow[c]).astype(np.int64)
+            for a, b, c in monos
+        ]
+        # W = the low k bits, U = the low i bits and u-i bits above bit k.
+        k, u, i = rep._k, rep._u, rep._i
+        rows, cols = ((1 << i) - 1) | (((1 << (u - i)) - 1) << k), (1 << k) - 1
+        probes = rep.probes([(a, 0, b, c) for a, b, c in monos])
+        shifts = np.array([a - c for a, _, c in monos])
+        lefts = range(len(monos)) if d <= 4 else rng.sample(range(len(monos)), 12)
+        for x in lefts:
+            counted = rep._compose(probes[x], probes, shifts)
+            for y, image in enumerate(images):
+                dense = images[x] @ image
+                assert np.array_equal(counted[y], dense[rows, cols]), (d, monos[x], monos[y])
+
+
+def test_products_match_catches_each_miscounted_rule_term():
+    # The counting rule is tabulated on first use. Each of its counts, one
+    # off, must break some structure-table product at d=3.
+    table = structure_constants(SchurContext(3))
+    rep = tensor_rep(3)
+    assert rep._rule is None
+    assert products_match(table, rep)[0]
+    counts = rep._rule[3]
+    for t in range(len(counts)):
+        counts[t] += 1
+        try:
+            assert not products_match(table, rep)[0], t
+        finally:
+            counts[t] -= 1
+    assert products_match(table, rep)[0]
+
+
+def test_tensor_model_reaches_d24_without_exponential_memory():
+    # At d=24 a single array of length 2^d would take 16 MB or more; rank
+    # and relations stay far below that, and the counting rule is not built.
+    d = 24
+    ctx = SchurContext(d)
+    relations = algebra.presentation_relations(ctx)
+    tracemalloc.start()
+    try:
+        rep = tensor_rep(d)
+        rank = rank_of_images(basis(ctx), rep)
+        ok, failures = relations_hold(relations, rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rank == dimension(d)
+    assert ok, failures
+    assert rep._rule is None
+    assert peak < 2**24, peak
 
 
 def test_probes_stay_exact_beyond_int64():

@@ -28,12 +28,17 @@ is not used: that mul_bd equals normalize(mul(x,y)) is a tested property
 comparing the two engines, and the structure constants are independently
 checked against the matrix oracles.
 
-The single-product kernel _add_product serves mul_bd and min_poly. The full
-table (structure_constants) reads the same two cached tables, flattened into
-arrays, and evaluates every basis pair in one vectorized pass per block of
-pairs: gather the collision terms, scale by the Pascal factors, expand
-through the reduction rows, sum by (pair, k). A block runs in int64 when an
-exact bit-length bound on its sums stays within 62 bits, and on Python ints
+The single-product kernel _add_product serves mul_bd and min_poly, reading
+the cached tables _collision_table and _reduce_table one key at a time. The
+full table is a stream of blocks of basis pairs (structure_blocks) that
+evaluates the same formulas on arrays: every collision polynomial of one d is
+evaluated and differenced in one integer pass (_collision_csr, equal to
+_collision_table key for key), the reduction rows are flattened once, and
+each block gathers its collision terms, scales them by the Pascal factors,
+expands them through the reduction rows and sums by (pair, k).
+structure_constants collects the stream into a StructureTable; `schur2 table`
+writes it block by block. A block, or a chunk of the collision pass, runs in
+int64 when an exact bit-length bound stays within 62 bits, and on Python ints
 (object arrays) otherwise; no floats are involved.
 """
 
@@ -44,6 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Iterator
 
 import numpy as np
 
@@ -213,9 +219,11 @@ class StructureTable:
         )
 
 
-# Pairs per block of the table build, and the largest bit length a summed
-# structure constant may reach for the block to run in int64.
+# Pairs per block of the table build, polynomials per chunk of the collision
+# fill, and the largest bit length a summed structure constant (or a forward
+# difference of the fill) may reach for its block or chunk to run in int64.
 _BLOCK_PAIRS = 1 << 10
+_FILL_ROWS = 1 << 12
 _INT64_BITS = 62
 
 
@@ -239,34 +247,82 @@ def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) + (starts - first)[owner]
 
 
+def _collision_csr(d: int) -> tuple[np.ndarray, ...]:
+    """Every _collision_table(d, b, c, a2, b2) with b+c, a2+b2 <= d, in one pass.
+
+    Returns (ptr, aa, cc, m, q): CSR rows keyed by (b, c, a2, b2) in base
+    d+1, one entry per nonzero term L^(aa) q*binom(H,m) R^(cc), each row in
+    _collision_table's order (t descending, then m ascending); q is int64,
+    or Python ints (dtype object) once a chunk ran on them. Every
+    polynomial P_t is evaluated at H = 0..deg, deg = b+t+b2, from one Pascal
+    table, the middle factor binom(u, t) with u < 0 by upper negation
+    (-1)^t binom(t-u-1, t); deg column passes of forward differences turn the
+    values into the binomial-basis coefficients. Polynomials are taken by
+    degree in chunks. A chunk runs in int64 when its factors' bit lengths
+    plus deg stay within _INT64_BITS (a k-th difference of values below 2**v
+    is below 2**(v+k)), and on Python ints otherwise.
+    """
+    base = d + 1
+    b, c, a2, b2 = np.indices((base,) * 4).reshape(4, -1)
+    count = np.where((b + c <= d) & (a2 + b2 <= d), np.minimum(c, a2) + 1, 0)
+    key = np.repeat(np.arange(base**4), count)
+    t = (np.cumsum(count) - 1)[key] - np.arange(len(key))
+    b, c, a2, b2 = b[key], c[key], a2[key], b2[key]
+    deg = b + t + b2
+    # Every upper argument below is at most 3d (H <= deg), every lower one at most d.
+    pascal = [comb(n, k) for n in range(3 * d + 1) for k in range(base)]
+    table = _int_array(pascal).reshape(-1, base)
+    table_bits = _bit_lengths(pascal).reshape(-1, base)
+
+    rows, ms, qs = [], [], []
+    by_deg = np.argsort(deg, kind="stable")
+    starts = np.searchsorted(deg[by_deg], np.arange(2 * d + 2))
+    for g in range(2 * d + 1):
+        h = np.arange(g + 1)
+        for lo in range(starts[g], starts[g + 1], _FILL_ROWS):
+            r = by_deg[lo : min(lo + _FILL_ROWS, starts[g + 1])]
+            tt = t[r, None]
+            up = d - 2 * h - a2[r, None] - c[r, None] + 2 * tt
+            at = [
+                (h + a2[r, None] - tt, b[r, None]),
+                (np.where(up < 0, tt - up - 1, up), tt),
+                (h + c[r, None] - tt, b2[r, None]),
+            ]
+            factors = [table[i] for i in at]
+            if int(sum(table_bits[i] for i in at).max()) + g > _INT64_BITS:
+                factors = [f.astype(object) for f in factors]
+            v = factors[0] * factors[1] * factors[2] * (1 - 2 * ((up < 0) & (tt % 2 == 1)))
+            for k in range(1, g + 1):
+                v[:, k:] = v[:, k:] - v[:, k - 1 : -1]
+            nz, m = np.nonzero(v)
+            rows.append(r[nz])
+            ms.append(m)
+            qs.append(v[nz, m])
+    row, m = np.concatenate(rows), np.concatenate(ms)
+    order = np.argsort(row * (2 * d + 1) + m)
+    row, m, q = row[order], m[order], np.concatenate(qs)[order]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(key[row], minlength=base**4))))
+    return ptr, (a2 - t)[row].astype(np.int16), (c - t)[row].astype(np.int16), m.astype(np.int16), q
+
+
 class _TableKernel:
-    """The two cached tables of mul_bd's kernel at one d, flattened into arrays.
+    """The two tables of mul_bd's kernel at one d, as arrays.
 
     Collisions are CSR rows keyed by (b, c, a2, b2) in base d+1, one entry per
-    term L^(aa) binom(H,m) R^(cc); reductions are CSR rows keyed by the
-    unreduced monomial (A, m, C) in base 2d+1 (a product has degree <= 2d),
-    one entry per basis index k. Beside the values sit their bit lengths (per
-    reduction row, its widest entry), for the int64 bound.
+    term L^(aa) binom(H,m) R^(cc), from _collision_csr; reductions are
+    _reduce_table's rows flattened into CSR, keyed by the unreduced monomial
+    (A, m, C) in base 2d+1 (a product has degree <= 2d), one entry per basis
+    index k. Beside the values sit their bit lengths (per reduction row, its
+    widest entry), for the int64 bound.
     """
 
     def __init__(self, d: int, monos: list[Monomial]) -> None:
         self.d, self.n = d, len(monos)
-        base, wide = d + 1, 2 * d + 1
+        wide = 2 * d + 1
         self.a, self.b, self.c = np.array(monos, dtype=np.int64).reshape(-1, 3).T
 
-        tables, lengths = [], []
-        for b, c, a2, b2 in itertools.product(range(base), repeat=4):
-            rows = _collision_table(d, b, c, a2, b2) if b + c <= d and a2 + b2 <= d else ()
-            tables.append(rows)
-            lengths.append(sum(len(middle) for _, _, middle in rows))
-        self.col_ptr = np.cumsum([0, *lengths])
-        collisions = [entry for rows in tables for entry in rows]  # (aa, cc, middle)
-        count = int(self.col_ptr[-1])
-        # aa, cc <= d and m <= 2d; numpy raises rather than wraps past int16.
-        self.col_aa = np.fromiter((aa for aa, _, middle in collisions for _ in middle), np.int16, count)
-        self.col_cc = np.fromiter((cc for _, cc, middle in collisions for _ in middle), np.int16, count)
-        self.col_m = np.fromiter((m for _, _, middle in collisions for m, _ in middle), np.int16, count)
-        qs = [q for _, _, middle in collisions for _, q in middle]
+        self.col_ptr, self.col_aa, self.col_cc, self.col_m, qs = _collision_csr(d)
+        qs = qs.tolist()
         self.col_q, self.col_bits = _int_array(qs), _bit_lengths(qs)
 
         index = {mono: k for k, mono in enumerate(monos)}
@@ -321,27 +377,61 @@ class _TableKernel:
         return target // n + p0, target % n, sums[keep]
 
 
-def structure_constants(ctx: SchurContext) -> StructureTable:
-    """Products of all ordered basis pairs, in one vectorized pass per block.
+Block = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    The same formulas as _add_product, read from the same cached tables: each
-    block of pairs gathers its collision terms, scales them by the Pascal
-    factors, expands them through the reduction rows and sums by (pair, k).
+
+def structure_blocks(ctx: SchurContext) -> Iterator[Block]:
+    """The structure constants as a stream of blocks of basis pairs.
+
+    Each block is (pair, k, q) for the pairs p0 <= p < p0 + _BLOCK_PAIRS in
+    row-major order: pair p is (p // n, p % n) over basis(ctx), and every
+    nonzero constant of it is one entry q at basis index k, sorted by (pair,
+    k). Pairs whose product vanishes have no entry. q is int64, or Python ints
+    (dtype object) where a block's exact bound passes 62 bits. Each block
+    gathers its collision terms, scales them by the Pascal factors, expands
+    them through the reduction rows and sums by (pair, k): the formulas of
+    _add_product, on arrays.
     """
     monos = basis(ctx)
     n = len(monos)
     kernel = _TableKernel(ctx.d, monos)
-    ks = list(range(n))  # one int object per basis index, shared by all rows
-    products: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
     for p0 in range(0, n * n, _BLOCK_PAIRS):
-        p1 = min(p0 + _BLOCK_PAIRS, n * n)
-        pair, k, q = kernel.products(p0, p1)
+        yield kernel.products(p0, min(p0 + _BLOCK_PAIRS, n * n))
+
+
+def structure_constants(ctx: SchurContext) -> StructureTable:
+    """The whole table, collected from structure_blocks."""
+    monos = basis(ctx)
+    n = len(monos)
+    ks = list(range(n))  # one int object per basis index, shared by all rows
+    products = dict.fromkeys(itertools.product(range(n), repeat=2), ())
+    for pair, k, q in structure_blocks(ctx):
         terms = list(zip(map(ks.__getitem__, k.tolist()), q.tolist()))
-        lo = 0
-        for p, hi in zip(range(p0, p1), np.cumsum(np.bincount(pair - p0, minlength=p1 - p0)).tolist()):
-            products[divmod(p, n)] = tuple(terms[lo:hi])
-            lo = hi
+        pairs, starts = pair.tolist(), np.flatnonzero(np.diff(pair, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(terms)]):
+            products[divmod(pairs[lo], n)] = tuple(terms[lo:hi])
     return StructureTable(ctx.d, ctx.flavor, tuple(monos), products)
+
+
+def mul_bd_row_mismatches(table: StructureTable) -> tuple[int, list[tuple[int, int]]]:
+    """mul_bd against the table on every pair (i, j) with x_i of degree 1.
+
+    Returns the number of pairs compared and those whose table row differs.
+    mul_bd reads the per-key _collision_table and a table from
+    structure_constants the batched _collision_csr, so this pins the two
+    kernels to each other; the left factors e, binom(H,1) and f meet every
+    collision key (b, c, a2, b2) with b + c <= 1.
+    """
+    ctx = SchurContext(table.d, table.flavor)
+    index = {mono: k for k, mono in enumerate(table.basis)}
+    elems = [Element.monomial(*mono, table.flavor) for mono in table.basis]
+    pairs = [(i, j) for i, mono in enumerate(table.basis) if sum(mono) == 1 for j in range(len(elems))]
+    return len(pairs), [
+        (i, j)
+        for i, j in pairs
+        if table.products[(i, j)]
+        != tuple(sorted((index[m], q) for m, q in mul_bd(elems[i], elems[j], ctx).single_var_terms().items()))
+    ]
 
 
 # -- basis conversions -----------------------------------------------------

@@ -356,7 +356,8 @@ def verify_suite(d: int, oracle: str = "auto", flavor: Flavor = Flavor.FHE) -> V
 
     Covers: symbolic relation residues, relation images in the selected
     models, dimension/rank agreement, structure-constant integrality, the
-    full product table against the models' products, minimal polynomials of
+    full product table against the models' products and its rows with a
+    degree-1 left factor against mul_bd, minimal polynomials of
     H1, H2 and h by three routes, and the quotient-map property from d+2.
     """
     ctx = SchurContext(d, flavor)
@@ -399,6 +400,13 @@ def verify_suite(d: int, oracle: str = "auto", flavor: Flavor = Flavor.FHE) -> V
                 continue
             ok, detail = products_match(table, rep)
             report.add(f"products:{rep.kind}", ok, detail)
+        checked, differing = algebra.mul_bd_row_mismatches(table)
+        report.add(
+            "structure:mul_bd",
+            not differing,
+            f"{checked} products with a degree-1 left factor"
+            + (f"; differing: {differing[:5]}" if differing else ""),
+        )
     else:
         report.add("structure:integral", True, "skipped (d > 8); run per-product checks instead")
 

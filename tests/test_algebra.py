@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -153,6 +154,38 @@ def test_collision_table_matches_u_mode_product():
                                 for (aa, cc), mids in sorted(grouped.items())
                             )
                             assert _collision_table(d, b, c, a2, b2) == expected
+
+
+def _per_key_collisions(d):
+    """_collision_table on every key (b, c, a2, b2) in base d+1, flattened to CSR lists."""
+    ptr, aa, cc, m, q = [0], [], [], [], []
+    for b, c, a2, b2 in itertools.product(range(d + 1), repeat=4):
+        if b + c <= d and a2 + b2 <= d:
+            for x, y, middle in _collision_table(d, b, c, a2, b2):
+                for mm, qq in middle:
+                    aa.append(x), cc.append(y), m.append(mm), q.append(qq)
+        ptr.append(len(q))
+    return [ptr, aa, cc, m, q]
+
+
+def test_collision_csr_matches_per_key_table():
+    # The batched fill against the per-key path, key for key. Up to d = 10
+    # every chunk runs in int64; at d = 11 and 12 the highest degrees pass
+    # the bound and run on Python ints.
+    for d in range(13):
+        got = algebra._collision_csr(d)
+        assert [a.tolist() for a in got] == _per_key_collisions(d), d
+        assert got[-1].dtype == (object if d >= 11 else np.int64), d
+    _collision_table.cache_clear()
+
+
+def test_collision_csr_python_int_path(monkeypatch):
+    monkeypatch.setattr(algebra, "_INT64_BITS", 0)
+    for d in range(7):
+        got = algebra._collision_csr(d)
+        assert got[-1].dtype == object
+        assert all(type(q) is int for q in got[-1])
+        assert [a.tolist() for a in got] == _per_key_collisions(d), d
 
 
 def _random_element(rng, flavor, max_exp=2, nterms=3):

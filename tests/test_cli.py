@@ -6,10 +6,12 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schur2 import algebra
@@ -82,9 +84,9 @@ def test_verify_passes(capsys):
     code, out, err = _run(capsys, "verify", "--d", "2")
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[-1] == "verify d=2: 18/18 checks passed"
+    assert lines[-1] == "verify d=2: 19/19 checks passed"
     assert all(line.startswith("PASS ") for line in lines[:-1])
-    assert len(lines) == 19
+    assert len(lines) == 20
 
 
 def test_verify_json(capsys):
@@ -151,22 +153,47 @@ def _csv_reference(table):
     return fh.getvalue()
 
 
+# A hand-made block stream at d = 1 (4 basis elements, 16 pairs): pair 0 and
+# the last pairs have no terms, one block is empty, one holds Python ints of
+# 2**64 size and one int64.
+_CTX_D1 = SchurContext(1, Flavor.EHF)
+_BLOCKS_D1 = [
+    (np.array([1, 1, 6]), np.array([0, 3, 2]), np.array([2**64 + 1, -(2**64), 5], dtype=object)),
+    (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)),
+    (np.array([7, 9]), np.array([1, 0]), np.array([-(2**62), 3], dtype=np.int64)),
+]
+
+
+def _table_from_blocks(ctx, blocks):
+    monos = algebra.basis(ctx)
+    n = len(monos)
+    products = {(i, j): () for i in range(n) for j in range(n)}
+    for pair, k, q in blocks:
+        for p, kk, qq in zip(pair.tolist(), k.tolist(), q.tolist()):
+            products[divmod(p, n)] += ((kk, qq),)
+    return StructureTable(ctx.d, ctx.flavor, tuple(monos), products)
+
+
+def _written(write, ctx, blocks):
+    fh = io.StringIO()
+    write(ctx, blocks, fh)
+    return fh.getvalue()
+
+
 def test_table_csv_matches_csv_writer(capsys, tmp_path):
     out_path = tmp_path / "d4.csv"
     code, _, _ = _run(capsys, "table", "--d", "4", "--out", str(out_path), "--format", "csv")
     assert code == 0
     expected = _csv_reference(algebra.structure_constants(SchurContext(4)))
     assert out_path.read_bytes() == expected.encode()
-    # Fraction and out-of-int64 coefficients take the same row template.
-    table = StructureTable(
-        7,
-        Flavor.EHF,
-        ((0, 0, 0), (1, 2, 3)),
-        {(1, 0): ((0, Fraction(-3, 4)), (1, 2**64 + 1)), (0, 0): (), (1, 1): ((0, -(2**63) - 3),)},
-    )
-    fh = io.StringIO()
-    _write_table_csv(table, fh)
-    assert fh.getvalue() == _csv_reference(table)
+    for flavor in Flavor:
+        for d in range(6):
+            ctx = SchurContext(d, flavor)
+            got = _written(_write_table_csv, ctx, algebra.structure_blocks(ctx))
+            assert got == _csv_reference(algebra.structure_constants(ctx)), (d, flavor)
+    # Python-int and int64 blocks take the same row template.
+    got = _written(_write_table_csv, _CTX_D1, _BLOCKS_D1)
+    assert got == _csv_reference(_table_from_blocks(_CTX_D1, _BLOCKS_D1))
 
 
 def test_table_json_schema(capsys, tmp_path):
@@ -232,29 +259,15 @@ def _table_document(table: StructureTable) -> dict:
 
 
 def test_table_writer_matches_json_dump():
-    tables = [
-        algebra.structure_constants(SchurContext(d, flavor))
-        for flavor in Flavor
-        for d in range(6)
-    ]
-    tables.append(
-        StructureTable(
-            7,
-            Flavor.EHF,
-            ((0, 0, 0), (1, 2, 3)),
-            {
-                (1, 0): ((0, Fraction(-3, 4)), (1, 2**64 + 1)),
-                (0, 1): ((1, -5), (0, Fraction(7, 2))),
-                (0, 0): (),
-                (1, 1): ((0, -(2**63) - 3),),
-            },
-        )
-    )
-    for table in tables:
-        fh = io.StringIO()
-        _write_table_json(table, fh)
-        expected = json.dumps(_table_document(table), indent=2) + "\n"
-        assert fh.getvalue() == expected, (table.d, table.flavor)
+    for flavor in Flavor:
+        for d in range(6):
+            ctx = SchurContext(d, flavor)
+            got = _written(_write_table_json, ctx, algebra.structure_blocks(ctx))
+            expected = json.dumps(_table_document(algebra.structure_constants(ctx)), indent=2) + "\n"
+            assert got == expected, (d, flavor)
+    got = _written(_write_table_json, _CTX_D1, _BLOCKS_D1)
+    expected = json.dumps(_table_document(_table_from_blocks(_CTX_D1, _BLOCKS_D1)), indent=2) + "\n"
+    assert got == expected
 
 
 def test_table_json_matches_frozen_digest(capsys, tmp_path):
@@ -277,12 +290,68 @@ def test_internal_error_exit_code(capsys, monkeypatch, tmp_path):
         def fail(ctx, _exc=exc):
             raise _exc
 
-        monkeypatch.setattr(algebra, "structure_constants", fail)
+        monkeypatch.setattr(algebra, "structure_blocks", fail)
         out_path = tmp_path / "t.json"
         code, out, err = _run(capsys, "table", "--d", "1", "--out", str(out_path))
         assert (code, out) == (3, "")
         assert err == f"error: {type(exc).__name__}: {exc}\n"
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_failure_after_first_block_leaves_no_file(capsys, monkeypatch, tmp_path, fmt):
+    # The table streams while it computes; a failure after the first block
+    # leaves no partial --out and no temporary file, and an existing --out
+    # keeps its bytes.
+    real = algebra.structure_blocks
+
+    def fail_after_first(ctx):
+        blocks = real(ctx)
+        yield next(blocks)
+        raise ArithmeticError("failed after one block")
+
+    monkeypatch.setattr(algebra, "structure_blocks", fail_after_first)
+    monkeypatch.setattr(algebra, "_BLOCK_PAIRS", 4)
+    out_path = tmp_path / "t.out"
+    code, out, err = _run(capsys, "table", "--d", "2", "--out", str(out_path), "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == "error: ArithmeticError: failed after one block\n"
+    assert list(tmp_path.iterdir()) == []
+    out_path.write_text("earlier table\n")
+    code, _, _ = _run(capsys, "table", "--d", "2", "--out", str(out_path), "--format", fmt)
+    assert code == 3
+    assert list(tmp_path.iterdir()) == [out_path]
+    assert out_path.read_text() == "earlier table\n"
+
+
+def test_table_out_keeps_mode_and_symlink(capsys, tmp_path):
+    # --out is replaced by a rename, yet behaves as open(out, "w") did: an
+    # existing file keeps its mode, and a symlink is written through.
+    target = tmp_path / "t.json"
+    target.write_text("earlier table\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _, _ = _run(capsys, "table", "--d", "1", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text())["d"] == 1
+    assert target.stat().st_mode & 0o7777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "t.json"]
+
+
+def test_table_out_not_writable(capsys, monkeypatch, tmp_path):
+    # An existing --out that may not be written fails with exit 1 before any
+    # work, and keeps its bytes (os.access stands in for a read-only file,
+    # which a superuser could write anyway).
+    target = tmp_path / "t.json"
+    target.write_text("earlier table\n")
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    code, out, err = _run(capsys, "table", "--d", "1", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 13] Permission denied: '{target}'\n"
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "earlier table\n"
 
 
 def test_parse_error_exit_code(capsys):

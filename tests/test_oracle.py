@@ -596,8 +596,8 @@ def test_verify_suite_oracle_selection():
 def test_verify_suite_catches_injected_sign_error():
     # Flip one sign in each engine's collision table and make sure the battery
     # notices: the U-mode table feeds the symbolic relation residues, the
-    # truncated one feeds the structure constants. Then restore and confirm
-    # it is green again.
+    # truncated per-key one feeds mul_bd and the batched one the structure
+    # constants. Then restore and confirm it is green again.
     original_cross = elements._cross
 
     def corrupted_cross(flavor, c, a):
@@ -632,9 +632,30 @@ def test_verify_suite_catches_injected_sign_error():
     algebra._collision_table = corrupted_collision
     try:
         failing = {c.name for c in verify_suite(2).checks if not c.passed}
-        assert failing & {"products:tensor", "products:weight"}
+        assert "structure:mul_bd" in failing
     finally:
         algebra._collision_table = original_collision
+        schur2.clear_caches()
+
+    # The table reads the batched collision fill; flip the same sign there:
+    # each key's last term, the entry the per-key table lists last (t = 0, top m).
+    original_fill = algebra._collision_csr
+
+    def corrupted_fill(d):
+        ptr, aa, cc, m, q = original_fill(d)
+        b, c, a2, b2 = np.indices((d + 1,) * 4).reshape(4, -1)
+        last = ptr[1:][(c >= 1) & (a2 >= 1) & (ptr[1:] > ptr[:-1])] - 1
+        q = q.copy()
+        q[last] = -q[last]
+        return ptr, aa, cc, m, q
+
+    schur2.clear_caches()
+    algebra._collision_csr = corrupted_fill
+    try:
+        failing = {c.name for c in verify_suite(2).checks if not c.passed}
+        assert failing & {"products:tensor", "products:weight"}
+    finally:
+        algebra._collision_csr = original_fill
         schur2.clear_caches()
     assert verify_suite(2).all_passed
 

@@ -7,11 +7,9 @@ models. All arithmetic is integer or rational and exact.
 """
 
 from .algebra import (
-    RelationReport,
     SchurContext,
     StructureTable,
     basis,
-    check_relations,
     dimension,
     expected_h_min_poly,
     expected_h_var_min_poly,
@@ -71,14 +69,12 @@ __all__ = [
     "Flavor",
     "IVPoly",
     "ParseError",
-    "RelationReport",
     "Rep",
     "SchurContext",
     "StructureTable",
     "VerifyReport",
     "basis",
     "binom",
-    "check_relations",
     "clear_caches",
     "commute_e_past_fdiv",
     "commute_poly_left",

@@ -45,7 +45,7 @@ int64 when an exact bit-length bound stays within 62 bits, and on Python ints
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -132,7 +132,7 @@ def normalize(x: Element, ctx: SchurContext) -> Element:
     if x.flavor is not ctx.flavor:
         raise ValueError("flavor mismatch with context")
     out: dict[tuple[int, int, int, int], Scalar] = {}
-    for (a, b, c), q in substitute_offvar(x, ctx.d).single_var_terms().items():
+    for (a, b, c), q in _own_var_terms(x, ctx.d).items():
         for mono, coef in _reduce_table(ctx.d, a, b, c):
             key = _flavor_key(ctx.flavor, *mono)
             out[key] = out.get(key, 0) + q * coef
@@ -560,30 +560,6 @@ def expected_h_min_poly(d: int) -> Poly:
 # -- relation checking -------------------------------------------------------
 
 
-@dataclass
-class RelationCheck:
-    name: str
-    residual: Element
-
-    @property
-    def passed(self) -> bool:
-        return self.residual.is_zero()
-
-
-@dataclass
-class RelationReport:
-    d: int
-    flavor: Flavor
-    checks: list[RelationCheck] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[RelationCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
 def _product_over(base: Element, shifts: list[int]) -> Element:
     """(base - s_0)(base - s_1)... in the untruncated algebra."""
     acc = Element.one(base.flavor)
@@ -649,14 +625,6 @@ def presentation_relations(ctx: SchurContext) -> list[tuple[str, Element]]:
             )
         )
     return rels
-
-
-def check_relations(ctx: SchurContext) -> RelationReport:
-    """Normalize LHS-RHS of every defining relation; all must vanish."""
-    report = RelationReport(ctx.d, ctx.flavor)
-    for name, rel in presentation_relations(ctx):
-        report.checks.append(RelationCheck(name, normalize(rel, ctx)))
-    return report
 
 
 def quotient_map_check(ctx: SchurContext) -> bool:

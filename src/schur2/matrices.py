@@ -51,12 +51,6 @@ _INT64_SAFE = 2**62
 _CERT_PRIME = 2**31 - 1
 
 
-def zeros(n: int, m: int | None = None) -> np.ndarray:
-    a = np.empty((n, m if m is not None else n), dtype=object)
-    a[...] = 0
-    return a
-
-
 def is_integral(a: np.ndarray) -> bool:
     if a.dtype != object:
         return np.issubdtype(a.dtype, np.integer)

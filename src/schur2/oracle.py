@@ -65,12 +65,9 @@ from typing import Iterator
 import numpy as np
 
 from . import algebra, matrices
-from .algebra import SchurContext, StructureTable
-from .elements import Element, Flavor
+from .algebra import Monomial, SchurContext, StructureTable
+from .elements import Element, Flavor, Key
 from .qpoly import Poly, pfrom_roots, prender
-
-Monomial = tuple[int, int, int]
-Key = tuple[int, int, int, int]
 
 
 class Rep:
@@ -145,7 +142,7 @@ class _WeightRep(Rep):
 
     def _dense(self, sums: dict[int, np.ndarray], conj: bool) -> np.ndarray:
         # Column j of shift s sits at row j+s; reversing each block conjugates.
-        out = matrices.zeros(self.dim)
+        out = np.zeros((self.dim, self.dim), dtype=object)
         for s, v in sums.items():
             j = np.flatnonzero(v)
             out[j + s, j] = v[j]
@@ -351,7 +348,7 @@ def _selected_reps(d: int, oracle: str) -> list[Rep]:
     raise ValueError(f"unknown oracle selection {oracle!r}")
 
 
-def verify_suite(d: int, oracle: str = "auto", flavor: Flavor = Flavor.FHE) -> VerifyReport:
+def verify_suite(d: int, oracle: str = "auto") -> VerifyReport:
     """Run the full cross-validation battery for one d.
 
     Covers: symbolic relation residues, relation images in the selected
@@ -359,9 +356,10 @@ def verify_suite(d: int, oracle: str = "auto", flavor: Flavor = Flavor.FHE) -> V
     full product table against the models' products and its rows with a
     degree-1 left factor against mul_bd, minimal polynomials of
     H1, H2 and h by three routes, and the quotient-map property from d+2.
+    It works in the FHE flavor, which the report records.
     """
-    ctx = SchurContext(d, flavor)
-    report = VerifyReport(d, flavor)
+    ctx = SchurContext(d)
+    report = VerifyReport(d, ctx.flavor)
     reps = _selected_reps(d, oracle)
 
     relations = algebra.presentation_relations(ctx)
@@ -415,7 +413,7 @@ def verify_suite(d: int, oracle: str = "auto", flavor: Flavor = Flavor.FHE) -> V
         ("H2", algebra.expected_h_var_min_poly(d)),
         ("h", algebra.expected_h_min_poly(d)),
     ):
-        sym = algebra.min_poly(Element.generator(gen, flavor), ctx)
+        sym = algebra.min_poly(Element.generator(gen, ctx.flavor), ctx)
         report.add(
             f"minpoly:{gen}:symbolic",
             sym == expected,

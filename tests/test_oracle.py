@@ -537,6 +537,18 @@ def test_verify_suite_passes():
     assert len(payload["checks"]) == len(report.checks)
 
 
+def test_package_exports():
+    # verify_suite is the package's one relation checker; no second
+    # relation-report API is exported beside it.
+    assert len(set(schur2.__all__)) == len(schur2.__all__)
+    missing = [name for name in schur2.__all__ if not hasattr(schur2, name)]
+    assert not missing, missing
+    for name in ("check_relations", "RelationReport", "RelationCheck"):
+        assert name not in schur2.__all__
+        assert not hasattr(schur2, name)
+        assert not hasattr(algebra, name)
+
+
 def test_verify_suite_builds_relations_once_and_no_dense_image(monkeypatch):
     calls = {}
     counted_names = (

@@ -33,13 +33,14 @@ the cached tables _collision_table and _reduce_table one key at a time. The
 full table is a stream of blocks of basis pairs (structure_blocks) that
 evaluates the same formulas on arrays: every collision polynomial of one d is
 evaluated and differenced in one integer pass (_collision_csr, equal to
-_collision_table key for key), the reduction rows are flattened once, and
-each block gathers its collision terms, scales them by the Pascal factors,
-expands them through the reduction rows and sums by (pair, k).
-structure_constants collects the stream into a StructureTable; `schur2 table`
-writes it block by block. A block, or a chunk of the collision pass, runs in
-int64 when an exact bit-length bound stays within 62 bits, and on Python ints
-(object arrays) otherwise; no floats are involved.
+_collision_table key for key), every reduction row of degree <= 2d is
+evaluated in one more pass (equal to _reduce_table row for row), and each
+block gathers its collision terms, scales them by the Pascal factors, expands
+them through the reduction rows and sums by (pair, k). structure_constants
+collects the stream into a StructureTable; `schur2 table` writes it and
+`verify` checks it block by block. A block, or a chunk of the collision pass,
+runs in int64 when an exact bit-length bound stays within 62 bits, and on
+Python ints (object arrays) otherwise; no floats are involved.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -310,10 +311,10 @@ class _TableKernel:
 
     Collisions are CSR rows keyed by (b, c, a2, b2) in base d+1, one entry per
     term L^(aa) binom(H,m) R^(cc), from _collision_csr; reductions are
-    _reduce_table's rows flattened into CSR, keyed by the unreduced monomial
-    (A, m, C) in base 2d+1 (a product has degree <= 2d), one entry per basis
-    index k. Beside the values sit their bit lengths (per reduction row, its
-    widest entry), for the int64 bound.
+    _reduce_table's rows as CSR (_reduction_csr), keyed by the unreduced
+    monomial (A, m, C) in base 2d+1 (a product has degree <= 2d), one entry
+    per basis index k. Beside the values sit their bit lengths (per reduction
+    row, its widest entry), for the int64 bound.
     """
 
     def __init__(self, d: int, monos: list[Monomial]) -> None:
@@ -325,21 +326,41 @@ class _TableKernel:
         qs = qs.tolist()
         self.col_q, self.col_bits = _int_array(qs), _bit_lengths(qs)
 
-        index = {mono: k for k, mono in enumerate(monos)}
-        lengths, ks, qs, widest = [], [], [], []
-        for big_a, m, big_c in itertools.product(range(wide), repeat=3):
-            row = _reduce_table(d, big_a, m, big_c) if big_a + m + big_c < wide else ()
-            lengths.append(len(row))
-            ks.extend(index[mono] for mono, _ in row)
-            qs.extend(q for _, q in row)
-            widest.append(max((abs(q).bit_length() for _, q in row), default=0))
-        self.red_ptr = np.cumsum([0, *lengths])
-        self.red_k = np.array(ks, dtype=np.int64)
-        self.red_q, self.red_bits = _int_array(qs), np.array(widest, dtype=np.int64)
-
         pascal = [comb(up, low) for up in range(wide) for low in range(wide)]
         self.pascal = _int_array(pascal).reshape(wide, wide)
         self.pascal_bits = _bit_lengths(pascal).reshape(wide, wide)
+        self._reduction_csr()
+
+    def _reduction_csr(self) -> None:
+        """_reduce_table(d, A, m, C) for every code of base 2d+1, on arrays.
+
+        A monomial of degree <= d (s = A+m+C-d <= 0) is its own row. Above,
+        the row runs over k = s..min(A, C), which is empty once max(A, C) + m
+        > d, and so for every degree above 2d; entry j = k-s is (-1)^j
+        binom(k-1, s-1) binom(m+k, k) at (A-k, m+k, C-k).
+        """
+        d, wide = self.d, 2 * self.d + 1
+        big_a, m, big_c = np.indices((wide,) * 3).reshape(3, -1)
+        s = big_a + m + big_c - d
+        count = np.where(s <= 0, 1, np.maximum(d + 1 - np.maximum(big_a, big_c) - m, 0))
+        row = np.repeat(np.arange(wide**3), count)
+        first = np.cumsum(count) - count
+        j = np.arange(len(row)) - first[row]
+        s, m = s[row], m[row]
+        k = np.maximum(s, 0) + j
+        index = np.zeros((d + 1,) * 3, dtype=np.int64)
+        index[self.a, self.b, self.c] = np.arange(self.n)
+        self.red_k = index[big_a[row] - k, m + k, big_c[row] - k]
+        # binom(k-1, s-1) is read as binom(0, 0) = 1 on the rows with s <= 0.
+        at = [(np.maximum(k - 1, 0), np.maximum(s - 1, 0)), (m + k, k)]
+        factors = [self.pascal[i] for i in at]
+        if int(sum(self.pascal_bits[i] for i in at).max(initial=0)) > _INT64_BITS:
+            factors = [f.astype(object) for f in factors]
+        qs = (factors[0] * factors[1] * (1 - 2 * (j % 2))).tolist()
+        bits = _bit_lengths(qs)
+        self.red_ptr = np.concatenate(([0], np.cumsum(count)))
+        self.red_q, self.red_bits = _int_array(qs), np.zeros(wide**3, dtype=np.int64)
+        self.red_bits[count > 0] = np.maximum.reduceat(bits, first[count > 0])
 
     def products(self, p0: int, p1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(pair, k, q) of every nonzero structure constant of the pairs p0 <= p < p1.
@@ -413,23 +434,27 @@ def structure_constants(ctx: SchurContext) -> StructureTable:
     return StructureTable(ctx.d, ctx.flavor, tuple(monos), products)
 
 
-def mul_bd_row_mismatches(table: StructureTable) -> tuple[int, list[tuple[int, int]]]:
-    """mul_bd against the table on every pair (i, j) with x_i of degree 1.
+def mul_bd_row_mismatches(
+    ctx: SchurContext, rows: dict[tuple[int, int], Sequence[tuple[int, Scalar]]]
+) -> tuple[int, list[tuple[int, int]]]:
+    """mul_bd against table rows on every pair (i, j) with x_i of degree 1.
 
-    Returns the number of pairs compared and those whose table row differs.
-    mul_bd reads the per-key _collision_table and a table from
-    structure_constants the batched _collision_csr, so this pins the two
-    kernels to each other; the left factors e, binom(H,1) and f meet every
-    collision key (b, c, a2, b2) with b + c <= 1.
+    rows maps (i, j) to its terms ((k, q), ...) sorted by k, as
+    StructureTable.products does; a pair it lacks is a zero product. Returns
+    the number of pairs compared and those whose row differs. mul_bd reads
+    the per-key _collision_table and the table stream the batched
+    _collision_csr, so this pins the two kernels to each other; the left
+    factors e, binom(H,1) and f meet every collision key (b, c, a2, b2) with
+    b + c <= 1.
     """
-    ctx = SchurContext(table.d, table.flavor)
-    index = {mono: k for k, mono in enumerate(table.basis)}
-    elems = [Element.monomial(*mono, table.flavor) for mono in table.basis]
-    pairs = [(i, j) for i, mono in enumerate(table.basis) if sum(mono) == 1 for j in range(len(elems))]
+    monos = basis(ctx)
+    index = {mono: k for k, mono in enumerate(monos)}
+    elems = [Element.monomial(*mono, ctx.flavor) for mono in monos]
+    pairs = [(i, j) for i, mono in enumerate(monos) if sum(mono) == 1 for j in range(len(elems))]
     return len(pairs), [
         (i, j)
         for i, j in pairs
-        if table.products[(i, j)]
+        if tuple(rows.get((i, j), ()))
         != tuple(sorted((index[m], q) for m, q in mul_bd(elems[i], elems[j], ctx).single_var_terms().items()))
     ]
 

@@ -3,7 +3,7 @@
 Matrices are numpy arrays of int64 or of Python ints/Fractions (object
 dtype). Exactness is non-negotiable, and there is no floating point anywhere.
 Arithmetic on the entries themselves runs in int64 only in
-`oracle.products_match`, and only when `int64_safe` proves from a priori
+`oracle.ProductCheck`, and only when `int64_safe` proves from a priori
 bounds that no overflow can occur; the rank certificate below works in int64
 on residues mod p.
 

@@ -39,8 +39,16 @@ S(2,d) = End_{Sigma_d}(V^(x)d) is constant on them (Green's basis xi_A,
 decide equalities exactly, with no array of length 2^d. A relation is zero
 iff, for every shift, the probe vectors of its terms sum to zero.
 
-Products compose probes: in the weight model as weighted shifts, in the
-tensor model by Schur's counting rule. In (AB)[U,W] = sum over V of
+Products are checked pair by pair on probe vectors, as the structure table
+streams past (`ProductCheck`). An image of shift s times one of shift s' has
+shift s+s', so the product of basis elements i and j has only terms k with
+s_k = s_i+s_j. A term of another shift fails its pair outright: a probe
+vector does not record its shift (at d=1, e and binom(H2,1) have the same
+weight probe), so such a term could otherwise cancel unseen. Within that one
+shift a probe vector fixes an image, so each pair is one width-long vector
+on each side: the table side sums q_k times probe k over the pair's terms,
+and the model side composes probes, in the weight model as weighted shifts,
+in the tensor model by Schur's counting rule. In (AB)[U,W] = sum over V of
 A[U,V] B[V,W], both factors see V only through the sizes x, y, z, t of its
 parts in U & W, U - W, W - U and outside U | W, so with v = x+y+z+t
 
@@ -53,14 +61,15 @@ Entries are Python ints from a table of binomials. A stack of probe vectors
 is narrowed to int64 when its largest entry is below 2^62, as in every shift
 of the weight model up to d = 34. The product check uses int64 only under
 bounds on its operands for length-2^d sums, which cover the counting rule
-too: it adds the same 2^d terms A[U,V] B[V,W], only grouped by class.
+too: it adds the same 2^d terms A[U,V] B[V,W], only grouped by class; the
+table side is bounded per block by its largest constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -76,7 +85,8 @@ class Rep:
     `_entries(a, c)` lists the probe vector of F^(a) P(H2) E^(c) as (positions,
     h2, coef): the entry is coef * P(h2), h2 being the H2-value of the
     intermediate vector. `_dense` writes per-shift probe vectors as a matrix,
-    and `_compose` applies an image to a stack of probe vectors.
+    and `_compose(probes, shifts, i, j)` gives the probe vector of image i[t]
+    times image j[t] for each t, from the probe vectors of all the images.
     """
 
     def __init__(self, d: int, h2: np.ndarray, dim: int, width: int):
@@ -149,9 +159,10 @@ class _WeightRep(Rep):
         swap = np.arange(self.dim) - self._pos + self._top
         return out[np.ix_(swap, swap)] if conj else out
 
-    def _compose(self, left: np.ndarray, probes: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        # B sends v_x to probes[j, x] v_(x+s_j); the left image then weighs v_(x+s_j).
-        return probes * left[np.clip(np.arange(self.dim) + shifts[:, None], 0, self.dim - 1)]
+    def _compose(self, probes: np.ndarray, shifts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # Image j sends v_x to probes[j, x] v_(x+s_j); image i then weighs v_(x+s_j).
+        x = np.clip(np.arange(self.dim) + shifts[j][:, None], 0, self.dim - 1)
+        return probes[j] * probes[i[:, None], x]
 
 
 class _TensorRep(Rep):
@@ -181,7 +192,7 @@ class _TensorRep(Rep):
         u, w = words[:, None], words[None, :]
         return vec[self._index[count[w], count[u], count[u & w]]]
 
-    def _compose(self, left: np.ndarray, probes: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    def _compose(self, probes: np.ndarray, shifts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         if self._rule is None:
             # Schur's counting rule (module docstring) as rows out, left, right, count.
             d, ix, b = self.d, self._index, self._binom
@@ -193,10 +204,14 @@ class _TensorRep(Rep):
                 for t in range(d - u - k + i + 1)
             ], dtype=np.int64).T
         out, lpos, rpos, count = self._rule
-        # m[r, o] sums count * left over the rule terms from right class r to class o.
-        m = np.zeros((self._width, self._width), dtype=probes.dtype)
-        np.add.at(m, (rpos, out), count * left[lpos])
-        return probes @ m
+        composed = np.empty((len(i), self._width), dtype=probes.dtype)
+        for left in np.unique(i).tolist():
+            # m[r, o] sums count * left over the rule terms from right class r to class o.
+            m = np.zeros((self._width, self._width), dtype=probes.dtype)
+            np.add.at(m, (rpos, out), count * probes[left, lpos])
+            t = np.flatnonzero(i == left)
+            composed[t] = probes[j[t]] @ m
+        return composed
 
 
 def tensor_rep(d: int) -> Rep:
@@ -260,43 +275,87 @@ def relations_hold(relations: list[tuple[str, Element]], rep: Rep) -> tuple[bool
     return not failures, failures
 
 
+class ProductCheck:
+    """The structure constants against one model, fed as blocks of basis pairs.
+
+    A block is (pair, k, q) as algebra.structure_blocks yields it: pair p is
+    (p // n, p % n), entries sorted by pair, each an entry q at basis index k.
+    A block covers the pairs after the previous block's last pair through its
+    own last one; a pair without entries is a zero product, and `result`
+    covers the pairs after the last block. Each product has only terms of
+    shift s_i + s_j (module docstring), so a pair is one width-long vector on
+    each side. Per block, a term of another shift fails its pair; the table
+    side is one np.add.reduceat of q times the probe of k over the pair's
+    entries, and the model side one `Rep._compose` over the covered pairs
+    (one rule matrix per distinct left factor in the tensor model).
+    Both run in int64 only while `matrices.int64_safe` bounds the model's
+    length-2^d sums of probe products and the table's sums, over a pair's
+    terms, of q times a probe entry, and on Python ints otherwise.
+    """
+
+    def __init__(self, monos: Sequence[Monomial], rep: Rep):
+        self.rep, self.monos, self.n = rep, list(monos), len(monos)
+        self._shifts = np.array([a - c for a, _, c in self.monos], dtype=np.int64)
+        self._probes = rep.probes([(a, 0, b, c) for a, b, c in self.monos])
+        self._bound = int(np.abs(self._probes).max(initial=0))
+        if not matrices.int64_safe(rep.dim, self._bound, self._bound):
+            self._probes = self._probes.astype(object)
+        self._next = 0  # the first pair not yet checked
+        self._bad: int | None = None  # the first failing pair
+
+    def add(self, pair: np.ndarray, k: np.ndarray, q: np.ndarray) -> None:
+        """Check one block, unless an earlier pair already failed."""
+        if self._bad is None and len(pair):
+            self._check(int(pair[-1]) + 1, pair, k, q)
+
+    def result(self) -> tuple[bool, str]:
+        if self._bad is None:
+            empty = np.zeros(0, dtype=np.int64)
+            self._check(self.n * self.n, empty, empty, empty)
+        if self._bad is None:
+            return True, f"{self.n * self.n} products checked"
+        i, j = divmod(self._bad, self.n)
+        return False, f"product mismatch at basis pair {self.monos[i]} * {self.monos[j]}"
+
+    def _check(self, end: int, pair: np.ndarray, k: np.ndarray, q: np.ndarray) -> None:
+        n, probes, shifts = self.n, self._probes, self._shifts
+        starts = np.flatnonzero(np.diff(pair, prepend=-1))
+        terms, most = int(np.diff(starts, append=len(pair)).max(initial=0)), int(np.abs(q).max(initial=0))
+        if probes.dtype == object or not matrices.int64_safe(terms, most, self._bound):
+            probes, q = probes.astype(object), q.astype(object)
+        else:
+            q = q.astype(np.int64)
+        span = np.arange(self._next, end)
+        diff = self.rep._compose(probes, shifts, span // n, span % n)
+        local = pair - self._next
+        if len(pair):
+            diff[local[starts]] -= np.add.reduceat(q[:, None] * probes[k], starts)
+        failing = diff.any(axis=1)
+        failing[local[shifts[k] != shifts[pair // n] + shifts[pair % n]]] = True
+        bad = np.flatnonzero(failing)
+        if bad.size:
+            self._bad = self._next + int(bad[0])
+        self._next = end
+
+
 def products_match(table: StructureTable, rep: Rep) -> tuple[bool, str]:
     """Check every structure-table product against the model, on probe vectors.
 
-    For each left factor i, the model composes image i with the probe vectors
-    of every right factor j (shift s_i + s_j); the table side adds q_k times
-    probe k into the slot of shift s_k, and every slot of every pair must then
-    cancel. Both sides are int64 under explicit bounds, else Python ints.
+    The table's products go to a ProductCheck as one block per left factor,
+    in row-major pair order, so a held table and the block stream of
+    `verify_suite` are checked by the same code: per pair, the terms must all
+    have shift s_i + s_j, the only shift of the product's image, and sum to
+    the model's probe vector of image i times image j.
     """
-    monos = list(table.basis)
-    n = len(monos)
-    max_coef = 1
-    for terms in table.products.values():
-        for _, q in terms:
-            if not isinstance(q, int):
-                return False, "structure constants are not integral"
-            max_coef = max(max_coef, abs(q))
-    shifts = np.array([a - c for a, _, c in monos], dtype=np.int64)
-    probes = rep.probes([(a, 0, b, c) for a, b, c in monos])
-    bound = int(np.abs(probes).max(initial=0))
-    if not (
-        matrices.int64_safe(rep.dim, bound, bound) and matrices.int64_safe(n, max_coef, bound)
-    ):
-        probes = probes.astype(object)
-    # Each pair has 4d+1 slots, slot 2d+s for shift s: products reach -2d..2d.
-    slots = 4 * rep.d + 1
-    slot = 2 * rep.d + shifts
+    if not all(isinstance(q, int) for terms in table.products.values() for _, q in terms):
+        return False, "structure constants are not integral"
+    n = len(table.basis)
+    check = ProductCheck(table.basis, rep)
     for i in range(n):
-        terms = [(j, k, q) for j in range(n) for k, q in table.products[(i, j)]]
-        jj, kk, qq = np.array(terms, dtype=probes.dtype).reshape(-1, 3).T
-        jj, kk = jj.astype(np.int64), kk.astype(np.int64)
-        diff = np.zeros((n * slots, probes.shape[1]), dtype=probes.dtype)
-        np.add.at(diff, jj * slots + slot[kk], qq[:, None] * probes[kk])
-        diff[np.arange(n) * slots + slot + shifts[i]] -= rep._compose(probes[i], probes, shifts)
-        bad = np.flatnonzero(diff.reshape(n, -1).any(axis=1))
-        if bad.size:
-            return False, f"product mismatch at basis pair {monos[i]} * {monos[bad[0]]}"
-    return True, f"{n * n} products checked"
+        terms = [(i * n + j, k, q) for j in range(n) for k, q in table.products[(i, j)]]
+        pair, k, q = zip(*terms) if terms else ((), (), ())
+        check.add(np.array(pair, dtype=np.int64), np.array(k, dtype=np.int64), algebra._int_array(list(q)))
+    return check.result()
 
 
 # -- the named verification suite -------------------------------------------
@@ -352,9 +411,10 @@ def verify_suite(d: int, oracle: str = "auto") -> VerifyReport:
     """Run the full cross-validation battery for one d.
 
     Covers: symbolic relation residues, relation images in the selected
-    models, dimension/rank agreement, structure-constant integrality, the
-    full product table against the models' products and its rows with a
-    degree-1 left factor against mul_bd, minimal polynomials of
+    models, dimension/rank agreement, and for d <= 8 the structure
+    constants: their integrality, every product against the models' and the
+    rows with a degree-1 left factor against mul_bd, all read from one pass
+    of algebra.structure_blocks with no table held. Then minimal polynomials of
     H1, H2 and h by three routes, and the quotient-map property from d+2.
     It works in the FHE flavor, which the report records.
     """
@@ -387,18 +447,23 @@ def verify_suite(d: int, oracle: str = "auto") -> VerifyReport:
         )
 
     if d <= 8:
-        table = algebra.structure_constants(ctx)
-        report.add(
-            "structure:integral",
-            table.is_integral(),
-            f"{len(table.basis)}^2 products",
-        )
-        for rep in reps:
-            if rep.kind == "tensor" and d > 6:
-                continue
-            ok, detail = products_match(table, rep)
-            report.add(f"products:{rep.kind}", ok, detail)
-        checked, differing = algebra.mul_bd_row_mismatches(table)
+        n = len(monos)
+        checks = [ProductCheck(monos, rep) for rep in reps if rep.kind == "weight" or d <= 6]
+        lefts = [i for i, mono in enumerate(monos) if sum(mono) == 1]
+        integral, rows = True, {}
+        for pair, k, q in algebra.structure_blocks(ctx):
+            integral = integral and (
+                q.dtype == np.int64 or (q.dtype == object and all(isinstance(v, int) for v in q.tolist()))
+            )
+            for check in checks:
+                check.add(pair, k, q)
+            at = np.isin(pair // n, lefts)
+            for p, kq in zip(pair[at].tolist(), zip(k[at].tolist(), q[at].tolist())):
+                rows.setdefault(divmod(p, n), []).append(kq)
+        report.add("structure:integral", integral, f"{n}^2 products")
+        for check in checks:
+            report.add(f"products:{check.rep.kind}", *check.result())
+        checked, differing = algebra.mul_bd_row_mismatches(ctx, rows)
         report.add(
             "structure:mul_bd",
             not differing,

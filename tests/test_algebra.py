@@ -188,6 +188,39 @@ def test_collision_csr_python_int_path(monkeypatch):
         assert [a.tolist() for a in got] == _per_key_collisions(d), d
 
 
+def test_reduction_csr_matches_reduce_table():
+    # The kernel's reduction rows, built on arrays, against _reduce_table row
+    # for row on every code (A, m, C) of base 2d+1; codes of degree above 2d
+    # have empty rows.
+    for d in range(13):
+        monos = basis(SchurContext(d))
+        kernel = algebra._TableKernel(d, monos)
+        wide = 2 * d + 1
+        ptr, ks, qs = kernel.red_ptr.tolist(), kernel.red_k.tolist(), kernel.red_q.tolist()
+        for code, (big_a, m, big_c) in enumerate(itertools.product(range(wide), repeat=3)):
+            want = algebra._reduce_table(d, big_a, m, big_c) if big_a + m + big_c < wide else ()
+            got = tuple(zip((monos[k] for k in ks[ptr[code] : ptr[code + 1]]), qs[ptr[code] : ptr[code + 1]]))
+            assert got == want, (d, big_a, m, big_c)
+            widest = max((abs(q).bit_length() for _, q in want), default=0)
+            assert kernel.red_bits[code] == widest, (d, big_a, m, big_c)
+        assert len(ptr) == wide**3 + 1 and ptr[-1] == len(ks) == len(qs), d
+        assert kernel.red_q.dtype == np.int64, d
+        assert all(type(q) is int for q in qs)
+
+
+def test_reduction_csr_python_int_path(monkeypatch):
+    # With a bit bound of 0 the coefficients are multiplied on Python ints;
+    # the rows must not change.
+    for d in range(6):
+        monos = basis(SchurContext(d))
+        want = algebra._TableKernel(d, monos)
+        monkeypatch.setattr(algebra, "_INT64_BITS", 0)
+        got = algebra._TableKernel(d, monos)
+        monkeypatch.undo()
+        for name in ("red_ptr", "red_k", "red_q", "red_bits"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), (d, name)
+
+
 def _random_element(rng, flavor, max_exp=2, nterms=3):
     terms = {}
     for _ in range(nterms):

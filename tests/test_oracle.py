@@ -251,7 +251,7 @@ def test_counted_products_match_dense_word_products():
         shifts = np.array([a - c for a, _, c in monos])
         lefts = range(len(monos)) if d <= 4 else rng.sample(range(len(monos)), 12)
         for x in lefts:
-            counted = rep._compose(probes[x], probes, shifts)
+            counted = rep._compose(probes, shifts, np.full(len(monos), x), np.arange(len(monos)))
             for y, image in enumerate(images):
                 dense = images[x] @ image
                 assert np.array_equal(counted[y], dense[rows, cols]), (d, monos[x], monos[y])
@@ -520,6 +520,58 @@ def test_products_match_catches_each_wrong_row(make):
         ), name
 
 
+def _stream_with_row(ctx, p, row, size):
+    """structure_blocks with pair p's entries replaced by row, re-cut into blocks of `size` pairs."""
+    n = dimension(ctx.d)
+    pair, k, q = (np.concatenate(a) for a in zip(*algebra.structure_blocks(ctx)))
+    keep = pair != p
+    at = np.searchsorted(pair[keep], p)
+    pair = np.insert(pair[keep], at, [p] * len(row))
+    k = np.insert(k[keep], at, [kk for kk, _ in row])
+    q = np.insert(q[keep], at, [qq for _, qq in row])
+    for lo in range(0, n * n, size):
+        sel = (pair >= lo) & (pair < lo + size)
+        yield pair[sel], k[sel], q[sel]
+
+
+@pytest.mark.parametrize("make", [tensor_rep, weight_rep])
+def test_streamed_check_agrees_with_the_table_adapter(make):
+    # The same wrong rows, once in a held table and once in the block stream
+    # (cut into blocks of 7 pairs, so some blocks hold only zero products):
+    # the same verdict and the same first failing pair.
+    ctx = SchurContext(2)
+    table = structure_constants(ctx)
+    rep = make(2)
+    n = len(table.basis)
+    for name, (i, j), broken in _corrupted_rows(table):
+        check = oracle.ProductCheck(basis(ctx), rep)
+        for block in _stream_with_row(ctx, i * n + j, broken.products[(i, j)], 7):
+            check.add(*block)
+        streamed = check.result()
+        assert streamed == products_match(broken, rep), name
+        assert streamed == (
+            False, f"product mismatch at basis pair {table.basis[i]} * {table.basis[j]}"
+        ), name
+    check = oracle.ProductCheck(basis(ctx), rep)
+    for block in _stream_with_row(ctx, 0, table.products[(0, 0)], 7):
+        check.add(*block)
+    assert check.result() == products_match(table, rep) == (True, f"{n * n} products checked")
+
+
+def test_products_match_rejects_other_shifts_with_equal_weight_probes():
+    # At d=1, e (shift -1) and binom(H2,1) (shift 0) have the same weight
+    # probe vector (0, 1), so adding e - binom(H2,1) to the product 1 * 1
+    # keeps its probe sum. Only the shift test rejects the row.
+    table = structure_constants(SchurContext(1))
+    assert (rep := weight_rep(1)).probes([(0, 0, 0, 1)]).tolist() == rep.probes([(0, 0, 1, 0)]).tolist()
+    table.products = dict(table.products)
+    table.products[(0, 0)] += ((1, 1), (2, -1))
+    for make in (tensor_rep, weight_rep):
+        assert products_match(table, make(1)) == (
+            False, "product mismatch at basis pair (0, 0, 0) * (0, 0, 0)"
+        ), make
+
+
 def test_verify_suite_passes():
     report = verify_suite(2)
     assert report.all_passed
@@ -672,19 +724,110 @@ def test_verify_suite_catches_injected_sign_error():
     assert verify_suite(2).all_passed
 
 
+def test_verify_suite_catches_off_by_one_collision_in_int64(monkeypatch):
+    # At d=7 every block of the stream runs in int64. One collision term of
+    # key (b, c, a2, b2) = (1, 1, 1, 1), one off, changes the product
+    # binom(H2,1) e * f binom(H2,1); it has no degree-1 left factor, so only
+    # the product check can see it.
+    d = 7
+    original_fill = algebra._collision_csr
+    original_blocks = algebra.structure_blocks
+    dtypes = set()
+
+    def corrupted_fill(d):
+        ptr, aa, cc, m, q = original_fill(d)
+        q = q.copy()
+        q[ptr[((d + 2) * (d + 1) + 1) * (d + 1) + 1]] += 1
+        return ptr, aa, cc, m, q
+
+    def recorded_blocks(ctx):
+        for block in original_blocks(ctx):
+            dtypes.add(block[2].dtype)
+            yield block
+
+    monkeypatch.setattr(algebra, "structure_blocks", recorded_blocks)
+    schur2.clear_caches()
+    monkeypatch.setattr(algebra, "_collision_csr", corrupted_fill)
+    try:
+        checks = {c.name: c for c in verify_suite(d).checks}
+    finally:
+        monkeypatch.setattr(algebra, "_collision_csr", original_fill)
+        schur2.clear_caches()
+    assert dtypes == {np.dtype(np.int64)}
+    assert not checks["products:weight"].passed
+    assert checks["products:weight"].detail == "product mismatch at basis pair (0, 1, 1) * (1, 1, 0)"
+    assert checks["structure:mul_bd"].passed
+    assert checks["structure:integral"].passed
+
+
+def test_verify_suite_reads_integrality_and_mul_bd_rows_from_the_stream(monkeypatch):
+    ctx = SchurContext(2)
+    n = dimension(2)
+    e = basis(ctx).index((0, 0, 1))
+    original_blocks = algebra.structure_blocks
+
+    def stream(change):
+        def blocks(ctx):
+            for pair, k, q in original_blocks(ctx):
+                yield change(pair, k, q)
+
+        return blocks
+
+    def off_by_one(pair, k, q):
+        # The first entry of a nonzero product e * x_j.
+        q = q.copy()
+        q[np.flatnonzero(pair // n == e)[0]] += 1
+        return pair, k, q
+
+    monkeypatch.setattr(algebra, "structure_blocks", stream(off_by_one))
+    checks = {c.name: c for c in verify_suite(2).checks}
+    assert not checks["structure:mul_bd"].passed
+    assert "differing: [(1, " in checks["structure:mul_bd"].detail
+    assert checks["structure:integral"].passed
+
+    def half(pair, k, q):
+        q = q.astype(object)
+        q[-1] = Fraction(1, 2)
+        return pair, k, q
+
+    monkeypatch.setattr(algebra, "structure_blocks", stream(half))
+    checks = {c.name: c for c in verify_suite(2).checks}
+    assert not checks["structure:integral"].passed
+
+    # Python-int blocks that hold only ints are integral, and every check passes.
+    monkeypatch.setattr(algebra, "structure_blocks", stream(lambda pair, k, q: (pair, k, q.astype(object))))
+    assert verify_suite(2, "both").all_passed
+    monkeypatch.undo()
+    assert verify_suite(2, "both").all_passed
+
+
 def test_checked_int64_guard_survives_optimize_flag():
     # A product term of coefficient 2**64 wraps to 0 in int64; the operand
     # bound must move products_match to Python ints even under python -O,
     # so the extra term is reported rather than lost.
+    # A coefficient 1 + 2**64 in place of the 1 of e * f = 1 - binom(H2,1)
+    # at d=1 (pair 7 = (1, 3), term k=0) would wrap to the right value, so
+    # the streamed check must take that block on Python ints as well.
     code = (
+        "import numpy as np\n"
         "from schur2 import algebra, oracle\n"
-        "table = algebra.structure_constants(algebra.SchurContext(1))\n"
+        "ctx = algebra.SchurContext(1)\n"
+        "table = algebra.structure_constants(ctx)\n"
         "table.products = dict(table.products)\n"
         "table.products[(1, 3)] += ((3, 2**64),)\n"
+        "wrapped = algebra.structure_constants(ctx)\n"
+        "wrapped.products[(1, 3)] = ((0, 1 + 2**64), (2, -1))\n"
+        "pair, k, q = (np.concatenate(a) for a in zip(*algebra.structure_blocks(ctx)))\n"
+        "q = q.astype(object)\n"
+        "q[(pair == 7) & (k == 0)] += 2**64\n"
         "for rep in (oracle.tensor_rep(1), oracle.weight_rep(1)):\n"
-        "    ok, detail = oracle.products_match(table, rep)\n"
-        "    if ok or 'basis pair' not in detail:\n"
-        "        raise SystemExit(1)\n"
+        "    check = oracle.ProductCheck(algebra.basis(ctx), rep)\n"
+        "    check.add(pair, k, q)\n"
+        "    for ok, detail in (\n"
+        "        oracle.products_match(table, rep), oracle.products_match(wrapped, rep), check.result()\n"
+        "    ):\n"
+        "        if ok or 'basis pair' not in detail:\n"
+        "            raise SystemExit(1)\n"
     )
     src = str(Path(schur2.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

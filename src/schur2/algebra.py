@@ -49,7 +49,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -539,37 +539,109 @@ def from_h_basis(coeffs: dict[Monomial, Fraction | int], ctx: SchurContext) -> E
 # -- minimal polynomials ----------------------------------------------------
 
 
+def _region(d: int, has_a: bool, has_c: bool) -> list[Monomial]:
+    """The basis monomials with a = 0 unless has_a and c = 0 unless has_c, in basis order."""
+    return [
+        (a, b, c)
+        for a in range(d + 1 if has_a else 1)
+        for b in range(d + 1 - a)
+        for c in range(d + 1 - a - b if has_c else 1)
+    ]
+
+
+@lru_cache(maxsize=64)
+def _right_rows(d: int, y: Monomial, has_a: bool, has_c: bool) -> tuple[np.ndarray, ...]:
+    """(row, col, val) of every nonzero entry of m*y, for m over _region(d, has_a, has_c).
+
+    Rows and columns are indices into the region: a product of two of its
+    monomials stays in it, since without f^(a) (e^(c)) on either side no
+    collision term or reduction creates one.
+
+    The cache keeps 64 entries of 24 bytes per nonzero (int64; object arrays
+    hold Python ints instead). Over the whole basis the largest entry is
+    64 KB at d=10 and 263 KB at d=14, so the cache stays under 4.2 MB for
+    d <= 10 and under 17 MB for d <= 14; a Cartan entry is under 2 KB there.
+    """
+    region = _region(d, has_a, has_c)
+    index = {mono: k for k, mono in enumerate(region)}
+    rows, cols, vals = [], [], []
+    for i, mono in enumerate(region):
+        out: dict[Monomial, Scalar] = {}
+        _add_product(out, d, 1, mono, y)
+        for m, q in out.items():
+            if q:
+                rows.append(i)
+                cols.append(index[m])
+                vals.append(q)
+    entry = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), _int_array(vals)
+    for a in entry:
+        a.flags.writeable = False  # cached: every later caller gets these arrays
+    return entry
+
+
+def _krylov(parts: list[tuple[tuple[np.ndarray, ...], int]], size: int) -> Iterator[np.ndarray]:
+    """1, z, z^2, ... as integer arrays over a region, z = sum q * y_j.
+
+    parts holds (rows of y_j, q) with integer q. Their entries, scaled by q,
+    are sorted once by column, so each power is a gather, a product and one
+    sum per column; an entry shared by several y_j is summed there too. A
+    power runs in int64 while int64_safe bounds those sums (`most` terms,
+    |v| times the largest |entry|), and on Python ints from the first one
+    it does not.
+    """
+    rows, cols, vals = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+    for (r, c, v), q in parts:
+        if v.dtype == object or not matrices.int64_safe(1, int(np.abs(v).max(initial=0)), abs(q)):
+            v = v.astype(object)
+        rows.append(r)
+        cols.append(c)
+        vals.append(v * q)
+    order = np.argsort(np.concatenate(cols))
+    rows, cols, vals = (np.concatenate(a)[order] for a in (rows, cols, vals))
+    counts = np.bincount(cols, minlength=size)
+    targets = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[targets]
+    most, largest = int(counts.max()), int(np.abs(vals).max(initial=0))
+
+    v = np.zeros(size, dtype=np.int64)
+    v[0] = 1
+    while True:
+        yield v
+        if v.dtype != object and not matrices.int64_safe(most, int(np.abs(v).max()), largest):
+            v = v.astype(object)
+        nxt = np.zeros(size, dtype=v.dtype)
+        if len(targets):
+            nxt[targets] = np.add.reduceat(v[rows] * vals, starts)
+        v = nxt
+
+
 def min_poly(x: Element, ctx: SchurContext) -> Poly:
-    """Exact minimal polynomial of left multiplication by normalize(x).
+    """Exact minimal polynomial of left multiplication by y = normalize(x).
 
     Left multiplication is faithful and unital, so its minimal polynomial is
     witnessed entirely by the identity seed: the first linear dependency among
-    the basis coordinates of 1, x, x^2, ... is the answer. Each next power is
-    the last one times the rows m*x of right multiplication, one row per basis
-    monomial m, built by the product kernel the first time a power touches m
-    and kept for this call only. A power is taken only once the previous one
-    proved independent.
+    the basis coordinates of 1, y, y^2, ... is the answer. With D the lcm of
+    y's denominators, z = D*y has integer Kostant coordinates, so z is
+    integral, its powers are integer vectors and p_y(T) = D^-K p_z(DT).
+
+    The powers live on the monomials they can reach from 1: f^(a) occurs only
+    if some term of y has a > 0, e^(c) only if some has c > 0, so y in the
+    Cartan part needs the d+1 monomials binom(H,b). The rows m*y_j over that
+    region, one set per Kostant monomial y_j of y, are built once by
+    _add_product and kept in the process-wide cache of _right_rows, so a later
+    call with the same d and support builds none. The powers run on arrays
+    (_krylov) and matrices.first_dependency finds their first dependency.
     """
     d = ctx.d
-    index = {mono: k for k, mono in enumerate(basis(ctx))}
-    ys = normalize(x, ctx).single_var_terms().items()
-    rows: dict[Monomial, dict[Monomial, Scalar]] = {}
-
-    def powers():
-        power: dict[Monomial, Scalar] = {(0, 0, 0): 1}
-        while True:
-            yield {index[mono]: q for mono, q in power.items()}
-            nxt: dict[Monomial, Scalar] = {}
-            for mono, q in power.items():
-                if mono not in rows:
-                    rows[mono] = {}
-                    for ym, qy in ys:
-                        _add_product(rows[mono], d, qy, mono, ym)
-                for m, c in rows[mono].items():
-                    nxt[m] = nxt.get(m, 0) + q * c
-            power = {m: q for m, q in nxt.items() if q}
-
-    return matrices.first_dependency(powers(), len(index))
+    ys = normalize(x, ctx).single_var_terms()
+    den = lcm(*(Fraction(q).denominator for q in ys.values()))
+    has_a, has_c = any(a for a, _, _ in ys), any(c for _, _, c in ys)
+    parts = [(_right_rows(d, y, has_a, has_c), int(q * den)) for y, q in ys.items()]
+    size = len(_region(d, has_a, has_c))
+    powers = _krylov(parts, size)
+    combo = matrices.first_dependency(map(matrices.sparse_vector, powers), size)
+    top = len(combo) - 1
+    return tuple(c / den ** (top - k) for k, c in enumerate(combo))
 
 
 def expected_h_var_min_poly(d: int) -> Poly:

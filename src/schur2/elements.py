@@ -52,6 +52,11 @@ class Flavor(enum.Enum):
     FHE = "fhe"
     EHF = "ehf"
 
+    # Members are singletons and Enum equality is identity, so the identity
+    # hash keeps the contract; Enum's own __hash__ runs Python code on every
+    # lru_cache and dict lookup keyed by a flavor.
+    __hash__ = object.__hash__
+
     @property
     def letters(self) -> tuple[str, str]:
         """(left letter, right letter) of the normal order."""

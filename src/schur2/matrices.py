@@ -194,6 +194,12 @@ def first_dependency(vectors: Iterable[dict[int, int | Fraction]], dim: int) -> 
     raise ValueError("sequence ended before a linear dependency")
 
 
+def sparse_vector(v: np.ndarray) -> dict[int, int]:
+    """An integer array as {index: value} over its nonzero entries, for first_dependency."""
+    nz = np.flatnonzero(v)
+    return dict(zip(nz.tolist(), v[nz].tolist()))
+
+
 def _axpy(
     y: dict[int, int | Fraction], a: int | Fraction, x: dict[int, int | Fraction], s: int = 1
 ) -> None:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schur2 import algebra, clear_caches, elements
+from schur2 import algebra, clear_caches, elements, matrices
 from schur2.algebra import (
     SchurContext,
     _collision_table,
@@ -30,6 +30,8 @@ from schur2.algebra import (
     to_power_basis,
 )
 from schur2.elements import Element, Flavor, mul, substitute_offvar
+from schur2.exprs import parse_element
+from schur2.oracle import eval_element, weight_rep
 from schur2.qpoly import pfrom_roots, pmul, ptrim
 
 
@@ -410,7 +412,7 @@ def test_min_poly_builds_each_row_once(monkeypatch, d):
     # x = 2h + 3e - 5f is semisimple in sl2 with x^2 acting on weight m as
     # (4 - 15) m^2, so its minimal polynomial on S(2,d), a sum of the simple
     # modules of highest weight d, d-2, ..., is the product of T^2 + 11 m^2
-    # over m = d, d-2, ... > 0, times T when d is even.
+    # over m = d, d-2, ... > 0, times T when d is even. -x has the same one.
     ctx = SchurContext(d)
     e, f, h = (Element.generator(g) for g in "efh")
     x = 2 * h + 3 * e - 5 * f
@@ -427,10 +429,63 @@ def test_min_poly_builds_each_row_once(monkeypatch, d):
     def no_mul_bd(*args):
         raise AssertionError("min_poly must not call mul_bd")
 
+    # The rows are cached for the process, so a first call starts from empty caches.
+    clear_caches()
     monkeypatch.setattr(algebra, "_add_product", counting_add_product)
     monkeypatch.setattr(algebra, "mul_bd", no_mul_bd)
-    assert min_poly(x, ctx) == expected
-    assert 0 < len(calls) <= dimension(d) * len(normalize(x, ctx).terms)
+    try:
+        assert min_poly(x, ctx) == expected
+        assert 0 < len(calls) <= dimension(d) * len(normalize(x, ctx).terms)
+        # Same d, same Kostant support: every row comes from the cache.
+        calls.clear()
+        assert min_poly(-1 * x, ctx) == expected
+        assert not calls
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+def _weight_min_poly(x, d):
+    """The reference: matrices.min_poly of x's image in the weight model."""
+    return matrices.min_poly(eval_element(x, weight_rep(d)))
+
+
+def _min_poly_cases(rng, flavor, d):
+    texts = ["0", "-7/3", "E(2)", "F(1) + E(3)", "1/2*e + f", "2*h + 3*e - 5*f", "1000000000000*e + f + h"]
+    xs = [parse_element(t, flavor) for t in texts]
+    xs += [_random_element(rng, flavor) for _ in range(3)]
+    # Kostant combinations on one side only (a = 0, or c = 0) and in the Cartan part.
+    for keep_a, keep_c in ((False, True), (True, False), (False, False)):
+        monos = [m for m in basis(SchurContext(d)) if (keep_a or not m[0]) and (keep_c or not m[2])]
+        picked = rng.sample(monos, min(3, len(monos)))
+        terms = (Fraction(rng.randint(-5, 5), rng.randint(1, 3)) * Element.monomial(*m, flavor) for m in picked)
+        xs.append(sum(terms, Element.zero(flavor)))
+    return xs
+
+
+def test_min_poly_matches_weight_model(monkeypatch):
+    rng = random.Random(2027)
+    dtypes = []
+    krylov = algebra._krylov
+
+    def recording(parts, size):
+        dtypes.append([])
+        for v in krylov(parts, size):
+            dtypes[-1].append(v.dtype)
+            yield v
+
+    monkeypatch.setattr(algebra, "_krylov", recording)
+    clear_caches()
+    try:
+        for d in range(9):
+            for flavor in (Flavor.FHE, Flavor.EHF):
+                ctx = SchurContext(d, flavor)
+                for x in _min_poly_cases(rng, flavor, d):
+                    assert min_poly(x, ctx) == _weight_min_poly(x, d), (d, flavor, x)
+    finally:
+        clear_caches()
+    # The 10^12 coefficient starts in int64 and moves to Python ints mid-sequence.
+    assert any(kinds[0] != object and kinds[-1] == object for kinds in dtypes)
 
 
 def test_expected_min_polys():

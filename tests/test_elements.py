@@ -8,7 +8,9 @@ shifts, and compares against the closed-form straightening product.
 
 from __future__ import annotations
 
+import functools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -306,6 +308,20 @@ def test_single_var_terms_guard():
         bad.single_var_terms()
     ehf = Element(Flavor.EHF, {(1, 2, 0, 0): 1})
     assert ehf.single_var_terms() == {(1, 2, 0): 1}
+
+
+def test_flavor_hashes_by_identity():
+    @functools.lru_cache(maxsize=None)
+    def letters(flavor):
+        return flavor.letters
+
+    table = {Flavor.FHE: "fhe", Flavor.EHF: "ehf"}
+    for flavor in (Flavor.FHE, Flavor.EHF, Flavor.FHE):
+        assert hash(flavor) == object.__hash__(flavor)
+        assert table[Flavor(flavor.value)] == flavor.value
+        assert letters(flavor) == flavor.letters
+        assert pickle.loads(pickle.dumps(flavor)) is flavor
+    assert letters.cache_info().hits == 1 and letters.cache_info().misses == 2
 
 
 def test_flavor_mismatch_rejected():

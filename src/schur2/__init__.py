@@ -6,6 +6,8 @@ the quotient, and cross-checks everything against two independent matrix
 models. All arithmetic is integer or rational and exact.
 """
 
+import inspect
+
 from .algebra import (
     SchurContext,
     StructureTable,
@@ -61,7 +63,8 @@ def clear_caches() -> None:
 
     for module in (elements, ivpoly, algebra):
         for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
+            # An lru_cache wraps a function; a class with a cache_clear method is no cache.
+            if inspect.isfunction(getattr(value, "__wrapped__", None)) and hasattr(value, "cache_clear"):
                 value.cache_clear()
 
 __all__ = [

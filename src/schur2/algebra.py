@@ -59,6 +59,7 @@ from .elements import (
     Element,
     Flavor,
     Scalar,
+    linear_product,
     mul,
     substitute_offvar,
 )
@@ -583,11 +584,9 @@ def _krylov(parts: list[tuple[tuple[np.ndarray, ...], int]], size: int) -> Itera
     """1, z, z^2, ... as integer arrays over a region, z = sum q * y_j.
 
     parts holds (rows of y_j, q) with integer q. Their entries, scaled by q,
-    are sorted once by column, so each power is a gather, a product and one
-    sum per column; an entry shared by several y_j is summed there too. A
-    power runs in int64 while int64_safe bounds those sums (`most` terms,
-    |v| times the largest |entry|), and on Python ints from the first one
-    it does not.
+    make one matrices.RightAction, so each power is one apply_right step (an
+    entry shared by several y_j is summed there too): in int64 while
+    int64_safe bounds it, and on Python ints from the first step it does not.
     """
     rows, cols, vals = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
     for (r, c, v), q in parts:
@@ -596,23 +595,12 @@ def _krylov(parts: list[tuple[tuple[np.ndarray, ...], int]], size: int) -> Itera
         rows.append(r)
         cols.append(c)
         vals.append(v * q)
-    order = np.argsort(np.concatenate(cols))
-    rows, cols, vals = (np.concatenate(a)[order] for a in (rows, cols, vals))
-    counts = np.bincount(cols, minlength=size)
-    targets = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[targets]
-    most, largest = int(counts.max()), int(np.abs(vals).max(initial=0))
-
+    action = matrices.right_action(*(np.concatenate(a) for a in (rows, cols, vals)), size)
     v = np.zeros(size, dtype=np.int64)
     v[0] = 1
     while True:
         yield v
-        if v.dtype != object and not matrices.int64_safe(most, int(np.abs(v).max()), largest):
-            v = v.astype(object)
-        nxt = np.zeros(size, dtype=v.dtype)
-        if len(targets):
-            nxt[targets] = np.add.reduceat(v[rows] * vals, starts)
-        v = nxt
+        v = matrices.apply_right(v, action)
 
 
 def min_poly(x: Element, ctx: SchurContext) -> Poly:
@@ -657,14 +645,6 @@ def expected_h_min_poly(d: int) -> Poly:
 # -- relation checking -------------------------------------------------------
 
 
-def _product_over(base: Element, shifts: list[int]) -> Element:
-    """(base - s_0)(base - s_1)... in the untruncated algebra."""
-    acc = Element.one(base.flavor)
-    for s in shifts:
-        acc = mul(acc, base - Element.scalar(s, base.flavor))
-    return acc
-
-
 def presentation_relations(ctx: SchurContext) -> list[tuple[str, Element]]:
     """LHS-RHS of every defining relation, as untruncated elements.
 
@@ -687,15 +667,15 @@ def presentation_relations(ctx: SchurContext) -> list[tuple[str, Element]]:
         ("h,e,f: he-eh = 2e", mul(h, e) - mul(e, h) - 2 * e),
         ("h,e,f: ef-fe = h", mul(e, f) - mul(f, e) - h),
         ("h,e,f: hf-fh = -2f", mul(h, f) - mul(f, h) + 2 * f),
-        ("h,e,f: (h+d)(h+d-2)...(h-d) = 0", _product_over(h, [d - 2 * k for k in range(d + 1)])),
+        ("h,e,f: (h+d)(h+d-2)...(h-d) = 0", linear_product(h, [d - 2 * k for k in range(d + 1)])),
         ("H1,e,f: H1e-eH1 = e", mul(h1, e) - mul(e, h1) - e),
         ("H1,e,f: ef-fe = 2H1-d", mul(e, f) - mul(f, e) - 2 * h1 + Element.scalar(d, flavor)),
         ("H1,e,f: H1f-fH1 = -f", mul(h1, f) - mul(f, h1) + f),
-        ("H1,e,f: H1(H1-1)...(H1-d) = 0", _product_over(h1, list(range(d + 1)))),
+        ("H1,e,f: H1(H1-1)...(H1-d) = 0", linear_product(h1, list(range(d + 1)))),
         ("H2,e,f: H2e-eH2 = -e", mul(h2, e) - mul(e, h2) + e),
         ("H2,e,f: ef-fe = d-2H2", mul(e, f) - mul(f, e) + 2 * h2 - Element.scalar(d, flavor)),
         ("H2,e,f: H2f-fH2 = f", mul(h2, f) - mul(f, h2) - f),
-        ("H2,e,f: H2(H2-1)...(H2-d) = 0", _product_over(h2, list(range(d + 1)))),
+        ("H2,e,f: H2(H2-1)...(H2-d) = 0", linear_product(h2, list(range(d + 1)))),
         ("gl2: H1H2 = H2H1", mul(h1, h2) - mul(h2, h1)),
         ("gl2: H1+H2 = d", h1 + h2 - Element.scalar(d, flavor)),
     ]

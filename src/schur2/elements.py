@@ -21,7 +21,15 @@ fdiv_merge). No truncation happens here; this is the untruncated algebra
 
 The straightened product of two monomials has integer coefficients and does
 not depend on d, so `mul` caches it per (flavor, monomial, monomial) pair and
-only scales and adds the cached terms; powers and repeated requests reuse it.
+only scales and adds the cached terms; repeated requests reuse it.
+
+A product of linear forms (x - s_0)(x - s_1)... with x of degree <= 1, such
+as a power of e + f + h or a truncation relation H(H-1)...(H-d), is
+`linear_product`: the partial product is an integer vector over the keys of
+degree <= the number of factors that it can reach from 1, and each factor is
+one right multiplication by x on that vector. The right actions of the left
+letter, H1, H2 and the right letter come from the rules above, written as
+arrays once per (flavor, degree bound, region) and cached.
 
 Coefficients are exact: plain int when integral, fractions.Fraction otherwise.
 """
@@ -31,9 +39,14 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterable, Iterator, Mapping
+from itertools import compress
+from math import factorial, lcm
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
+from . import matrices
 from .ivpoly import (
     IVPoly,
     binom,
@@ -227,6 +240,13 @@ class Element:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of_canonical(cls, flavor: Flavor, terms: dict[Key, Scalar]) -> "Element":
+        """An element that takes `terms` as they are: nonzero canonical scalars."""
+        out = cls.__new__(cls)
+        out.flavor, out.terms = flavor, terms
+        return out
+
+    @classmethod
     def zero(cls, flavor: Flavor = Flavor.FHE) -> "Element":
         return cls(flavor)
 
@@ -397,6 +417,147 @@ def mul(x: Element, y: Element) -> Element:
             for key, q in _mono_mul(flavor, xkey, ykey):
                 out[key] = out.get(key, 0) + cxy * q
     return Element(flavor, out)
+
+
+# The degree-one keys, in this order throughout: left letter, binom(H1,1),
+# binom(H2,1), right letter.
+_LINEAR_KEYS: tuple[Key, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+_denominator = attrgetter("denominator")  # of an int or a Fraction
+
+
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of the sum(counts) slots: its owner i and its offset 0..counts[i]-1."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+@lru_cache(maxsize=64)
+def _right_letters(
+    flavor: Flavor, k: int, region: tuple[bool, bool, bool, bool]
+) -> tuple[tuple[Key, ...], np.ndarray, np.ndarray, matrices.RightAction]:
+    """Right multiplication by the four degree-one keys, on the keys of degree <= k.
+
+    region says which of _LINEAR_KEYS a key may hold a power of, and k >= 1.
+    Returns (keys, slot, gen, action): keys lists those keys
+    lexicographically (1 first); slot[i] is 1 for the key 1, 2 + g for
+    _LINEAR_KEYS[g] and 0 for the rest, so that (0, c, q_0, ..., q_3)[slot]
+    is the vector of c + sum q_g _LINEAR_KEYS[g]; action holds M·g for every
+    key M of degree < k and every g in the region, and entry i comes from
+    g = gen[i] - 2, so that (0, c, q_0, ..., q_3)[gen] * action.vals are the
+    entries of M·(sum q_g g). With M = L^(a) P R^(c), P = binom(H1,b1)
+    binom(H2,b2), letter shift (s1, s2) and D = H1-H2 (FHE) or H2-H1 (EHF),
+    the rules of the module docstring give
+
+        M·R  = (c+1) L^(a) P R^(c+1),
+        M·Hi = L^(a) P (Hi + si*c) R^(c),
+        M·L  = (a+1) L^(a+1) P(H1+s1, H2+s2) R^(c) + L^(a) P (D-c+1) R^(c-1),
+
+    expanded through binom(H,b) H = (b+1) binom(H,b+1) + b binom(H,b) and
+    binom(H+s,b) = sum_j binom(s,b-j) binom(H,j).
+    """
+    keys, total = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for cap in np.array(region) * k:
+        owner, value = _spread(np.minimum(cap, k - total) + 1)
+        keys, total = np.column_stack((keys[owner], value)), total[owner] + value
+    src = np.flatnonzero(total < k)
+    a, b1, b2, c = keys[src].T
+    shift = _LETTER_SHIFT[flavor]
+    sign = _D_POLY[flavor][(1, 0)]
+    parts = []  # (g, rows, target key, coefficient)
+    if region[3]:
+        parts.append((3, src, (a, b1, b2, c + 1), c + 1))
+    for g, b, up in ((1, b1, (a, b1 + 1, b2, c)), (2, b2, (a, b1, b2 + 1, c))):
+        if region[g]:
+            parts.append((g, src, up, b + 1))
+            parts.append((g, src, (a, b1, b2, c), b + shift[g - 1] * c))
+    if region[0]:
+        # (a+1) L^(a+1) P(H1+s1, H2+s2) R^(c), one shifted binomial at a time.
+        rows, q, cols = src, a + 1, [a + 1, b1, b2, c]
+        for i in (1, 2):
+            owner, j = _spread(cols[i] + 1)
+            coeffs = np.array([binom(shift[i - 1], n) for n in range(k + 1)])
+            rows, q, cols = rows[owner], q[owner] * coeffs[cols[i][owner] - j], [col[owner] for col in cols]
+            cols[i] = j
+        parts.append((0, rows, tuple(cols), q))
+        # L^(a) P (D-c+1) R^(c-1), for c >= 1.
+        low = c >= 1
+        a, b1, b2, c, rows = a[low], b1[low], b2[low], c[low] - 1, src[low]
+        parts.append((0, rows, (a, b1 + 1, b2, c), sign * (b1 + 1)))
+        parts.append((0, rows, (a, b1, b2 + 1, c), -sign * (b2 + 1)))
+        parts.append((0, rows, (a, b1, b2, c), sign * (b1 - b2) - c))
+
+    def code(a, b1, b2, c):
+        return ((a * (k + 1) + b1) * (k + 1) + b2) * (k + 1) + c
+
+    # Coefficients stay within 2k+2 in absolute value, so int16 holds them.
+    codes = code(*keys.T)
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, vals = [empty], [empty], [np.zeros((0, 4), dtype=np.int16)]
+    for g, r, target, q in parts:
+        keep = q != 0
+        rows.append(r[keep])
+        cols.append(np.searchsorted(codes, code(*target)[keep]))
+        vals.append(np.zeros((len(rows[-1]), 4), dtype=np.int16))
+        vals[-1][:, g] = q[keep]
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    action = matrices.right_action(rows.astype(np.int32), cols, vals, len(keys))
+    # Each entry has one nonzero column, its g; padding is all zero and gets g = 0.
+    gen = np.argmax(action.vals != 0, axis=1)
+    action = action._replace(vals=action.vals[np.arange(len(gen)), gen])
+    gen += 2
+    slot = np.zeros(len(keys), dtype=np.intp)
+    slot[0] = 1
+    for g, key in enumerate(_LINEAR_KEYS):
+        if region[g]:
+            slot[np.searchsorted(codes, code(*key))] = 2 + g
+    for array in (slot, gen, action.rows, action.vals, action.starts):
+        array.flags.writeable = False  # cached: every later caller gets these arrays
+    return tuple(map(tuple, keys.tolist())), slot, gen, action
+
+
+def linear_product(x: Element, shifts: Sequence[Scalar]) -> Element:
+    """(x - s_0)(x - s_1)... in the untruncated algebra, for x of degree <= 1.
+
+    With D the lcm of the denominators of x and the shifts, z = D*x is
+    integral, and its partial products are integer vectors over the keys of
+    degree <= len(shifts) that they can reach from 1: a letter only if x has
+    it, binom(Hi, b) only if x has Hi or both letters (whose commutator holds
+    H1 - H2). Each factor is one step v <- v·(z - D*s_i) on those arrays, R_z
+    assembled from the cached _right_letters, in int64 while
+    matrices.int64_safe bounds it and on Python ints after; the product is
+    divided by D^len(shifts) once at the end.
+    """
+    terms = x.terms
+    coef = list(map(terms.get, _LINEAR_KEYS, (0, 0, 0, 0)))
+    const = terms.get((0, 0, 0, 0), 0)
+    if len(terms) != sum(map(bool, coef)) + bool(const):
+        raise ValueError("linear_product needs an element of degree <= 1")
+    if not shifts:
+        return Element.one(x.flavor)
+    den = lcm(*map(_denominator, terms.values()), *map(_denominator, shifts))
+    if den > 1:
+        coef, const = [int(den * q) for q in coef], den * const
+    both = bool(coef[0] and coef[3])
+    region = (bool(coef[0]), bool(coef[1]) or both, bool(coef[2]) or both, bool(coef[3]))
+    keys, slot, gen, action = _right_letters(x.flavor, len(shifts), region)
+    # v starts at the coordinates of z - D*s_0; each later factor is one step.
+    first = int(const - den * shifts[0])
+    top = max(map(abs, coef))
+    bound = max(abs(first), top)  # max |v|, carried forward step by step
+    largest = top * action.largest
+    ext = np.array([0, first, *coef], dtype=np.int64 if matrices.int64_safe(1, max(largest, bound), 1) else object)
+    action = matrices.RightAction(action.rows, ext.take(gen) * action.vals, action.starts, action.most, largest)
+    v = ext[slot]
+    for s in shifts[1:]:
+        diag = int(const - den * s)
+        v = matrices.apply_right(v, action, diag, bound)
+        bound *= action.most * largest + abs(diag)
+    values = v.tolist()
+    out = dict(compress(zip(keys, values), values))
+    if den == 1:
+        return Element._of_canonical(x.flavor, out)
+    power = den ** len(shifts)
+    return Element(x.flavor, {key: Fraction(q, power) for key, q in out.items()})
 
 
 def commute_e_past_fdiv(k: int, flavor: Flavor = Flavor.FHE, d: int | None = None) -> Element:

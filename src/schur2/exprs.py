@@ -13,7 +13,10 @@ The grammar (whitespace insignificant, ^ binds over * binds over +/-):
 The leading unary minus is a superset of the written grammar so that every
 string the printers emit parses back. Exponents must be nonnegative integer
 literals. Plain powers of e and f lower to scaled divided powers
-(e^m = m! E(m)); powers of anything else lower to repeated products.
+(e^m = m! E(m)). A power of any other base of degree <= 1, such as
+(2*e - f + h + 3)^k, is elements.linear_product: repeated right
+multiplication by the base on integer arrays. Powers of higher-degree bases
+lower to repeated products (elements.mul).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .elements import Element, Flavor, Scalar, mul, render_terms
+from .elements import Element, Flavor, Scalar, linear_product, mul, render_terms
 
 
 class ParseError(ValueError):
@@ -236,8 +239,10 @@ def lower(node: Node, flavor: Flavor = Flavor.FHE) -> Element:
             return Element.divided_power(node.base.name, node.exponent, flavor).scale(
                 factorial(node.exponent)
             )
-        acc = Element.one(flavor)
         base = lower(node.base, flavor)
+        if base.degree() <= 1:
+            return linear_product(base, [0] * node.exponent)
+        acc = Element.one(flavor)
         for _ in range(node.exponent):
             acc = mul(acc, base)
         return acc

@@ -3,9 +3,10 @@
 Matrices are numpy arrays of int64 or of Python ints/Fractions (object
 dtype). Exactness is non-negotiable, and there is no floating point anywhere.
 Arithmetic on the entries themselves runs in int64 only in
-`oracle.ProductCheck`, and only when `int64_safe` proves from a priori
-bounds that no overflow can occur; the rank certificate below works in int64
-on residues mod p.
+`oracle.ProductCheck` and in `apply_right` (the integer steps of the symbolic
+engine's Krylov sequences and linear-form products), and only when
+`int64_safe` proves from a priori bounds that no overflow can occur; the rank
+certificate below works in int64 on residues mod p.
 
 Rank is exact. For an integral matrix with m rows, `exact_rank` first tries
 to certify full row rank mod p, all in bounded int64:
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,57 @@ def is_integral(a: np.ndarray) -> bool:
 def int64_safe(n: int, max_a: int, max_b: int) -> bool:
     """Whether length-n dot products of entries bounded by max_a and max_b fit int64."""
     return n * max(max_a, 1) * max(max_b, 1) < _INT64_SAFE
+
+
+class RightAction(NamedTuple):
+    """v -> v·M for a sparse integer matrix M, held by column.
+
+    rows and vals are M's entries sorted by column, with one zero entry in
+    each column that has none, so column j of v·M is the sum of the terms
+    v[rows] * vals from starts[j] up to starts[j+1]. most (entries in the
+    fullest column) and largest (max |value|) are the bounds that apply_right
+    hands int64_safe.
+    """
+
+    rows: np.ndarray
+    vals: np.ndarray
+    starts: np.ndarray
+    most: int
+    largest: int
+
+
+def right_action(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int) -> RightAction:
+    """The RightAction of the size x size matrix with the entries (rows, cols, vals).
+
+    Entries that share a position add up. vals may have more axes (one
+    matrix per column of vals, on one pattern); their entries travel along.
+    """
+    counts = np.bincount(cols, minlength=size)
+    empty = np.flatnonzero(counts == 0)
+    rows = np.concatenate((rows, np.zeros(len(empty), dtype=rows.dtype)))
+    vals = np.concatenate((vals, np.zeros((len(empty),) + vals.shape[1:], dtype=vals.dtype)))
+    order = np.argsort(np.concatenate((cols, empty)))
+    counts[empty] = 1
+    most, largest = int(counts.max(initial=0)), int(np.abs(vals).max(initial=0))
+    return RightAction(rows[order], vals[order], np.cumsum(counts) - counts, most, largest)
+
+
+def apply_right(v: np.ndarray, action: RightAction, diag: int = 0, bound: int | None = None) -> np.ndarray:
+    """v·M + diag·v for an integer vector v: a gather, a product and one sum per column.
+
+    It runs in int64 while int64_safe bounds every sum (the terms of one
+    column, plus diag·v) and on Python ints (dtype object) once it does not;
+    an object v stays object. bound, a caller's upper bound on max |v|, spares
+    reading v when it already proves the step safe.
+    """
+    most, largest = action.most + (diag != 0), max(action.largest, abs(diag))
+    if v.dtype != object and (bound is None or not int64_safe(most, bound, largest)):
+        if not int64_safe(most, int(np.abs(v).max(initial=0)), largest):
+            v = v.astype(object)
+    out = np.add.reduceat(v[action.rows] * action.vals, action.starts)
+    if diag:
+        out += diag * v
+    return out
 
 
 def _clear_denominators(rows: list[list[int | Fraction]]) -> list[list[int]]:

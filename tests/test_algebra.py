@@ -511,6 +511,46 @@ def test_relation_count_grows_with_d():
     assert len(presentation_relations(SchurContext(2))) == 24
 
 
+def test_presentation_relations_keep_names_and_products():
+    def product_over(base, shifts):
+        """(base - s_0)(base - s_1)... by U-mode mul, as the relations were built before."""
+        acc = Element.one(base.flavor)
+        for s in shifts:
+            acc = mul(acc, base - Element.scalar(s, base.flavor))
+        return acc
+
+    fixed = [
+        "h,e,f: he-eh = 2e",
+        "h,e,f: ef-fe = h",
+        "h,e,f: hf-fh = -2f",
+        "h,e,f: (h+d)(h+d-2)...(h-d) = 0",
+        "H1,e,f: H1e-eH1 = e",
+        "H1,e,f: ef-fe = 2H1-d",
+        "H1,e,f: H1f-fH1 = -f",
+        "H1,e,f: H1(H1-1)...(H1-d) = 0",
+        "H2,e,f: H2e-eH2 = -e",
+        "H2,e,f: ef-fe = d-2H2",
+        "H2,e,f: H2f-fH2 = f",
+        "H2,e,f: H2(H2-1)...(H2-d) = 0",
+        "gl2: H1H2 = H2H1",
+        "gl2: H1+H2 = d",
+    ]
+    for d in range(7):
+        names = fixed + [f"binom(H1,{b})*binom(H2,{d + 1 - b}) = 0" for b in range(d + 2)]
+        for b in range(d + 1):
+            names += [f"h*binom(H2,{b}) recursion", f"(-h)*binom(H1,{b}) recursion"]
+        for flavor in (Flavor.FHE, Flavor.EHF):
+            relations = presentation_relations(SchurContext(d, flavor))
+            assert [name for name, _ in relations] == names
+            want = {
+                3: product_over(Element.generator("h", flavor), [d - 2 * k for k in range(d + 1)]),
+                7: product_over(Element.generator("H1", flavor), list(range(d + 1))),
+                11: product_over(Element.generator("H2", flavor), list(range(d + 1))),
+            }
+            for i, rel in want.items():
+                assert relations[i][1] == rel, (d, flavor, names[i])
+
+
 def test_perturbed_relation_fails():
     ctx = SchurContext(2)
     e = Element.generator("e")

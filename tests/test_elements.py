@@ -354,3 +354,88 @@ def test_ehf_mul_mirrors_fhe():
     f = Element.generator("f", Flavor.EHF)
     fe = mul(f, e)
     assert fe.terms == {(1, 0, 0, 1): 1, (0, 0, 1, 0): 1, (0, 1, 0, 0): -1}
+
+
+def _repeated_mul(x, shifts):
+    """The reference: (x - s_0)(x - s_1)... by U-mode mul, one partial product per prefix."""
+    acc = Element.one(x.flavor)
+    out = [acc]
+    for s in shifts:
+        acc = mul(acc, x - Element.scalar(s, x.flavor))
+        out.append(acc)
+    return out
+
+
+def _linear_bases(flavor):
+    keys = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+
+    def element(*coefs):
+        return Element(flavor, dict(zip(keys, coefs)))
+
+    return [
+        element(-1, 1, -1, 2, 0),  # -e + 2f - h (FHE), integer coefficients
+        element(Fraction(1, 2), 0, Fraction(-2, 3), 3, 0),  # Fraction coefficients
+        element(2, 0, 0, -1, 5),  # both letters, no H, a constant term
+        element(0, Fraction(3, 2), -1, 0, Fraction(-1, 4)),  # Cartan part with a constant
+        element(0, 0, 1, 4, 0),  # one letter and its commuting H
+        element(1, 1, 0, 0, -3),
+        Element.zero(flavor),
+        Element.scalar(Fraction(7, 3), flavor),
+    ]
+
+
+def test_linear_product_matches_repeated_mul():
+    shift_lists = ([0] * 10, [3, -1, 0, 2, Fraction(1, 2), -4, 1, 0, 5, -2])
+    for flavor in (Flavor.FHE, Flavor.EHF):
+        for x in _linear_bases(flavor):
+            for shifts in shift_lists:
+                want = _repeated_mul(x, shifts)
+                for k in range(11):
+                    assert elements.linear_product(x, shifts[:k]) == want[k], (flavor, x, shifts[:k])
+
+
+def test_linear_product_moves_to_python_ints(monkeypatch):
+    dtypes = []
+    apply_right = elements.matrices.apply_right
+
+    def recording(v, *args):
+        out = apply_right(v, *args)
+        dtypes.append((v.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(elements.matrices, "apply_right", recording)
+    for big, small in ((10**12, 1), (50, 50)):
+        runs = []
+        for flavor in (Flavor.FHE, Flavor.EHF):
+            # big*e + small*f + small*h: the products pass int64 after one step, or after several.
+            x = Element(flavor, {(1, 0, 0, 0): big, (0, 0, 0, 1): small, (0, 1, 0, 0): small, (0, 0, 1, 0): -small})
+            want = _repeated_mul(x, [0] * 10)
+            for k in range(11):
+                dtypes.clear()
+                assert elements.linear_product(x, [0] * k) == want[k], (big, flavor, k)
+                runs.append(list(dtypes))
+        # Some run starts in int64 and ends on Python ints.
+        assert any(run and run[0][0] != object and run[-1][1] == object for run in runs), big
+
+
+def test_linear_product_rejects_higher_degree():
+    with pytest.raises(ValueError):
+        elements.linear_product(mul(Element.generator("e"), Element.generator("f")), [0, 0])
+    with pytest.raises(ValueError):
+        elements.linear_product(Element.divided_power("e", 2), [0])
+    assert elements.linear_product(Element.generator("h"), []) == Element.one()
+
+
+def test_clear_caches_skips_classes(monkeypatch):
+    import schur2
+
+    class WithCacheClear:
+        def cache_clear(self):
+            raise AssertionError("an instance method is not a function cache")
+
+    monkeypatch.setattr(elements, "WithCacheClear", WithCacheClear, raising=False)
+    mul(Element.generator("e"), Element.generator("f"))
+    elements.linear_product(Element.generator("h"), [0, 0])
+    schur2.clear_caches()
+    assert elements._mono_mul.cache_info().currsize == 0
+    assert elements._right_letters.cache_info().currsize == 0

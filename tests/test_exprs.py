@@ -177,3 +177,28 @@ def test_render_plain_terms_h_middle():
 def test_lower_rejects_foreign_objects():
     with pytest.raises(TypeError):
         lower("not a node")
+
+
+def test_power_of_linear_base_makes_no_mul_call(monkeypatch):
+    from schur2 import elements, exprs
+
+    def no_mul(x, y):
+        raise AssertionError("a power of a degree-one base must not call mul")
+
+    monkeypatch.setattr(exprs, "mul", no_mul)
+    monkeypatch.setattr(elements, "mul", no_mul)
+    for flavor in (Flavor.FHE, Flavor.EHF):
+        x = parse_element("(e + f + h)^8", flavor)
+        assert x.degree() == 8
+    monkeypatch.undo()
+    base = parse_element("e + f + h")
+    acc = Element.one()
+    for _ in range(8):
+        acc = mul(acc, base)
+    assert parse_element("(e + f + h)^8") == acc
+
+
+def test_power_of_product_base_keeps_repeated_mul():
+    for flavor in (Flavor.FHE, Flavor.EHF):
+        e, f = Element.generator("e", flavor), Element.generator("f", flavor)
+        assert parse_element("(e*f)^2", flavor) == mul(mul(e, f), mul(e, f))

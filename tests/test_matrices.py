@@ -126,6 +126,30 @@ def test_first_dependency_matches_fraction_elimination():
         _fraction_first_dependency([{0: Fraction(1, 3)}, {1: 2}, {2: 5}], 2)
 
 
+def test_apply_right_matches_dense_product():
+    rng = random.Random(31)
+    for size in (1, 4, 9):
+        for big in (False, True):
+            entries = [(rng.randrange(size), rng.randrange(size), rng.randint(-9, 9)) for _ in range(2 * size)]
+            if big:
+                entries.append((0, size - 1, 10**15))  # its products pass int64
+            rows, cols, vals = (np.array(a, dtype=np.int64) for a in zip(*entries))
+            dense = np.zeros((size, size), dtype=object)
+            np.add.at(dense, (rows, cols), vals.astype(object))  # repeated positions add up
+            action = matrices.right_action(rows, cols, vals, size)
+            v = np.array([rng.randint(-5, 5) for _ in range(size)], dtype=np.int64)
+            v[0] = 7
+            ref = v.astype(object)
+            for step in range(6):
+                diag = step - 2
+                # A caller's bound on max |v|: none, exact, or too loose to prove anything.
+                bound = (None, max(map(abs, ref.tolist())), 2**70)[step % 3]
+                v = matrices.apply_right(v, action, diag, bound)
+                ref = ref.dot(dense) + diag * ref
+                assert v.tolist() == ref.tolist(), (size, big, step)
+            assert (v.dtype == object) == (big and any(ref)), (size, big)
+
+
 def test_rank_known_cases():
     assert bareiss_rank(np.zeros((3, 3), dtype=object)) == 0
     assert bareiss_rank(np.eye(5, dtype=object)) == 5

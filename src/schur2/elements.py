@@ -7,17 +7,23 @@ f^(m) = f^m/m! and binomial elements binom(Hi, b). A normal-order monomial is
     EHF flavor:  e^(a) * binom(H1,b1) * binom(H2,b2) * f^(c)
 
 stored as the key (a, b1, b2, c). Elements are finite rational combinations of
-such monomials; products are straightened back into normal order using the
-single-generator commutation rules
+such monomials. The generators obey the commutation rules
 
     e P(H1) = P(H1-1) e,   e P(H2) = P(H2+1) e,
     f P(H1) = P(H1+1) f,   f P(H2) = P(H2-1) f,
     e^(k) f = f e^(k) + (H1-H2-k+1) e^(k-1),
-    f^(k) e = e f^(k) + (H2-H1-k+1) f^(k-1),
+    f^(k) e = e f^(k) + (H2-H1-k+1) f^(k-1).
 
-one plain generator at a time (divided powers recombine through
-fdiv_merge). No truncation happens here; this is the untruncated algebra
-("U-mode"). The quotient algebras live in schur2.algebra.
+A product of two monomials is straightened in one step: the right letter of
+the first meets the left letter of the second in Kostant's formula
+
+    e^(c) f^(a) = sum_t f^(a-t) binom(H1-H2-a-c+2t, t) e^(c-t)
+
+(EHF: f^(c) e^(a), with H2-H1), and the outer middle polynomials shift past
+the letters they cross. Each resulting middle polynomial in H1 and H2 is read
+off from its values on a grid by forward differences. No truncation happens
+here; this is the untruncated algebra ("U-mode"). The quotient algebras live
+in schur2.algebra.
 
 The straightened product of two monomials has integer coefficients and does
 not depend on d, so `mul` caches it per (flavor, monomial, monomial) pair and
@@ -39,8 +45,8 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from math import factorial, lcm
+from itertools import compress, zip_longest
+from math import lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -52,7 +58,7 @@ from .ivpoly import (
     binom,
     binom_complement_coeffs,
     binom_product_coeffs,
-    binom_shift_coeffs,
+    values_to_coeffs,
 )
 
 Scalar = int | Fraction
@@ -124,102 +130,6 @@ def commute_poly_left(g: str, p: IVPoly) -> IVPoly:
         (g, p.var)
     ]
     return p.shift(s)
-
-
-# Bivariate middle polynomials: dict {(b1, b2): integer coefficient} meaning
-# sum of binom(H1,b1)*binom(H2,b2).
-
-_BivPoly = dict[tuple[int, int], int]
-
-
-def _biv_add(into: _BivPoly, poly: Mapping[tuple[int, int], int], scale: int = 1) -> None:
-    for key, c in poly.items():
-        v = into.get(key, 0) + scale * c
-        if v:
-            into[key] = v
-        else:
-            into.pop(key, None)
-
-
-def _biv_mul(p: Mapping[tuple[int, int], int], q: Mapping[tuple[int, int], int]) -> _BivPoly:
-    out: _BivPoly = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            c12 = c1 * c2
-            for k1, ck1 in enumerate(binom_product_coeffs(i1, i2)):
-                if ck1 == 0:
-                    continue
-                for k2, ck2 in enumerate(binom_product_coeffs(j1, j2)):
-                    if ck2 == 0:
-                        continue
-                    key = (k1, k2)
-                    v = out.get(key, 0) + c12 * ck1 * ck2
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
-    return out
-
-
-def _biv_shift(p: Mapping[tuple[int, int], int], m: int, flavor: Flavor) -> _BivPoly:
-    """Shift from crossing m letters: (H1, H2) -> (H1 + s1*m, H2 + s2*m)."""
-    if m == 0:
-        return dict(p)
-    s1, s2 = _LETTER_SHIFT[flavor]
-    out: _BivPoly = {}
-    for (i, j), c in p.items():
-        for k1, ck1 in enumerate(binom_shift_coeffs(i, s1 * m)):
-            if ck1 == 0:
-                continue
-            for k2, ck2 in enumerate(binom_shift_coeffs(j, s2 * m)):
-                if ck2 == 0:
-                    continue
-                key = (k1, k2)
-                v = out.get(key, 0) + c * ck1 * ck2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _cross(flavor: Flavor, c: int, a: int) -> tuple[tuple[int, int, int, tuple[tuple[tuple[int, int], int], ...]], ...]:
-    """Normal order of the collision R^(c) * L^(a).
-
-    Returns tuples (coef, aa, cc, middle) meaning coef * L^(aa) * M * R^(cc)
-    with M the bivariate middle polynomial. Built by appending one plain left
-    letter at a time and dividing by a! at the end; all final coefficients are
-    integers (the divided-power form is integral).
-    """
-    state: dict[tuple[int, int], _BivPoly] = {(0, c): {(0, 0): 1}}
-    d_poly = _D_POLY[flavor]
-    for _ in range(a):
-        new: dict[tuple[int, int], _BivPoly] = {}
-        for (aa, cc), poly in state.items():
-            # The new letter crosses the middle and merges into L^(aa).
-            tgt = new.setdefault((aa + 1, cc), {})
-            _biv_add(tgt, _biv_shift(poly, 1, flavor), scale=aa + 1)
-            if cc >= 1:
-                # R^(cc) L = L R^(cc) + (D - cc + 1) R^(cc-1); second branch.
-                factor = dict(d_poly)
-                _biv_add(factor, {(0, 0): 1 - cc})
-                tgt2 = new.setdefault((aa, cc - 1), {})
-                _biv_add(tgt2, _biv_mul(poly, factor))
-        state = {k: v for k, v in new.items() if v}
-    fact = factorial(a)
-    out = []
-    for (aa, cc), poly in sorted(state.items()):
-        mid = []
-        for key, coef in sorted(poly.items()):
-            q, r = divmod(coef, fact)
-            if r:
-                raise ArithmeticError("collision expansion must be integral")
-            if q:
-                mid.append((key, q))
-        if mid:
-            out.append((1, aa, cc, tuple(mid)))
-    return tuple(out)
 
 
 class Element:
@@ -384,25 +294,53 @@ class Element:
         return f"Element({self.flavor.value!r}, {render_element(self)!r})"
 
 
+def _grid_coeffs(grid: list[list[int]]) -> list[tuple[int, ...]]:
+    """out[i][j]: coefficient of binom(H1,i) binom(H2,j) in P, from grid[H1][H2] = P(H1, H2).
+
+    Forward differences along H1, then along H2; the grid must reach P's degree in each variable.
+    """
+    cols = [values_to_coeffs(col) for col in zip(*grid)]
+    return [values_to_coeffs(row) for row in zip_longest(*cols, fillvalue=0)]
+
+
 @lru_cache(maxsize=None)
 def _mono_mul(flavor: Flavor, xkey: Key, ykey: Key) -> tuple[tuple[Key, int], ...]:
     """Straightened product of two monomials, as integer (key, coef) pairs.
 
-    The middle collision R^(c) * L^(a2) comes from _cross; the outer middle
-    polynomials shift past the letters that cross them.
+    With x = L^(a) P R^(c), y = L^(a2) Q R^(c2), letter shift (s1, s2) and D
+    = sign*(H1-H2) as in _D_POLY, Kostant's formula
+    R^(c) L^(a2) = sum_t L^(a2-t) binom(D-a2-c+2t, t) R^(c-t), t <= min(c, a2),
+    gives, with aa = a2-t and cc = c-t,
+
+        x y = sum_t binom(a+aa, a) binom(cc+c2, cc) L^(a+aa) M_t R^(cc+c2),
+        M_t = P(H1+s1*aa, H2+s2*aa) binom(D-a2-c+2t, t) Q(H1+s1*cc, H2+s2*cc).
+
+    M_t has degree b1+p1+t in H1 and b2+p2+t in H2, so its values on that
+    grid fix its integer coefficients over binom(H1,i) binom(H2,j). At t = 0
+    it is one factor per variable, whose tables are differenced apart.
     """
     a, b1, b2, c = xkey
     a2, p1, p2, c2 = ykey
-    out: dict[Key, int] = {}
-    for coef, aa, cc, mid in _cross(flavor, c, a2):
-        scal = coef * binom(a + aa, a) * binom(cc + c2, cc)
-        m = _biv_mul(_biv_shift({(b1, b2): 1}, aa, flavor), dict(mid))
-        m = _biv_mul(m, _biv_shift({(p1, p2): 1}, cc, flavor))
-        A, C = a + aa, cc + c2
-        for (q1, q2), mc in m.items():
-            key = (A, q1, q2, C)
-            out[key] = out.get(key, 0) + scal * mc
-    return tuple((key, q) for key, q in out.items() if q)
+    s1, s2 = _LETTER_SHIFT[flavor]
+    sign = _D_POLY[flavor][(1, 0)]
+    out = []
+    for t in range(min(c, a2), -1, -1):
+        aa, cc = a2 - t, c - t
+        f1 = [binom(h + s1 * aa, b1) * binom(h + s1 * cc, p1) for h in range(b1 + p1 + t + 1)]
+        f2 = [binom(h + s2 * aa, b2) * binom(h + s2 * cc, p2) for h in range(b2 + p2 + t + 1)]
+        if t == 0:
+            g2 = values_to_coeffs(f2)
+            coeffs = [[u * v for v in g2] for u in values_to_coeffs(f1)]
+        else:
+            coeffs = _grid_coeffs([
+                [u * v * binom(sign * (h1 - h2) - a2 - c + 2 * t, t) for h2, v in enumerate(f2)]
+                for h1, u in enumerate(f1)
+            ])
+        scale = binom(a + aa, a) * binom(cc + c2, cc)
+        out.extend(
+            ((a + aa, i, j, cc + c2), scale * q) for i, row in enumerate(coeffs) for j, q in enumerate(row) if q
+        )
+    return tuple(out)
 
 
 def mul(x: Element, y: Element) -> Element:
@@ -578,6 +516,16 @@ def commute_e_past_fdiv(k: int, flavor: Flavor = Flavor.FHE, d: int | None = Non
     return out
 
 
+@lru_cache(maxsize=None)
+def _offvar_row(off: int, keep: int, d: int) -> tuple[tuple[int, int], ...]:
+    """(m, q) pairs with binom(d-H, off) binom(H, keep) = sum q binom(H, m)."""
+    row: dict[int, int] = {}
+    for j, cj in enumerate(binom_complement_coeffs(off, d)):
+        for m, cm in enumerate(binom_product_coeffs(j, keep)):
+            row[m] = row.get(m, 0) + cj * cm
+    return tuple((m, q) for m, q in row.items() if q)
+
+
 def substitute_offvar(x: Element, d: int) -> Element:
     """Collapse the off-flavor variable through H1 + H2 = d.
 
@@ -585,24 +533,12 @@ def substitute_offvar(x: Element, d: int) -> Element:
     H2 part; EHF does the mirror image. Pure substitution, no truncation.
     """
     out: dict[Key, Scalar] = {}
-
-    def put(key: Key, q: Scalar) -> None:
-        out[key] = out.get(key, 0) + q
-
     fhe = x.flavor is Flavor.FHE
     for (a, b1, b2, c), q in x.terms.items():
         off, keep = (b1, b2) if fhe else (b2, b1)
-        if off == 0:
-            put((a, b1, b2, c), q)
-            continue
-        for j, cj in enumerate(binom_complement_coeffs(off, d)):
-            if cj == 0:
-                continue
-            for m, cm in enumerate(binom_product_coeffs(j, keep)):
-                if cm == 0:
-                    continue
-                key = (a, 0, m, c) if fhe else (a, m, 0, c)
-                put(key, q * cj * cm)
+        for m, cm in _offvar_row(off, keep, d):
+            key = (a, 0, m, c) if fhe else (a, m, 0, c)
+            out[key] = out.get(key, 0) + q * cm
     return Element(x.flavor, out)
 
 

@@ -22,10 +22,6 @@ def ptrim(coeffs: Sequence[Fraction | int]) -> Poly:
     return tuple(out)
 
 
-def pdegree(p: Poly) -> int:
-    return len(p) - 1
-
-
 def padd(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     return ptrim(
@@ -34,10 +30,6 @@ def padd(p: Poly, q: Poly) -> Poly:
             for i in range(n)
         ]
     )
-
-
-def pscale(p: Poly, s: Fraction | int) -> Poly:
-    return ptrim([c * s for c in p])
 
 
 def pmul(p: Poly, q: Poly) -> Poly:

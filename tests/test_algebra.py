@@ -136,6 +136,18 @@ def test_mul_bd_agrees_with_untruncated_product():
                 assert mul_bd(x, y, ctx) == normalize(mul(x, y), ctx)
 
 
+def test_large_collision_matches_truncated_product():
+    # E(12)*F(12) (FHE) and F(12)*E(12) (EHF) collide in full: t runs to 12
+    # and every middle grid is 2-D. At d = 24 nothing truncates, and mul_bd
+    # shares no code with U-mode mul.
+    for flavor in (Flavor.FHE, Flavor.EHF):
+        left, right = flavor.letters
+        x = Element.divided_power(right, 12, flavor)
+        y = Element.divided_power(left, 12, flavor)
+        ctx = SchurContext(24, flavor)
+        assert normalize(mul(x, y), ctx) == mul_bd(x, y, ctx)
+
+
 def test_collision_table_matches_u_mode_product():
     # The truncated product's kernel against the U-mode engine, on every
     # collision binom(H,b) R^(c) * L^(a2) binom(H,b2) of two basis monomials.

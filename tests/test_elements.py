@@ -1,9 +1,10 @@
 """Normal-order elements and straightening in the untruncated algebra.
 
-The heavyweight check here re-derives E(r)*F(s) by peeling one plain e at a
-time across the f-block, using nothing but the one-step commutation rule
-e f^(a) = f^(a) e + f^(a-1) (H1 - H2 - a + 1) together with polynomial
-shifts, and compares against the closed-form straightening product.
+The heavyweight check here re-derives products of monomials by peeling one
+plain right letter at a time across the left block, using nothing but the
+one-step commutation rule e f^(a) = f^(a) e + f^(a-1) (H1 - H2 - a + 1) (or
+its mirror image) together with polynomial shifts, and compares against the
+closed-form straightening product.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from schur2.elements import (
     render_element,
     substitute_offvar,
 )
-from schur2.ivpoly import IVPoly, binom
+from schur2.ivpoly import IVPoly
 
 
 def test_fdiv_merge_examples():
@@ -140,29 +141,13 @@ def test_mul_associative_and_bilinear():
             assert mul(x.scale(q), y) == mul(x, y).scale(q)
 
 
-def _per_term_mul(x: Element, y: Element) -> Element:
-    """U-mode mul straightened term by term with no pair cache: the reference."""
-    flavor = x.flavor
-    out = {}
-    for (a, b1, b2, c), cx in x.terms.items():
-        for (a2, p1, p2, c2), cy in y.terms.items():
-            for coef, aa, cc, mid in elements._cross(flavor, c, a2):
-                scal = cx * cy * coef * binom(a + aa, a) * binom(cc + c2, cc)
-                m = elements._biv_mul(elements._biv_shift({(b1, b2): 1}, aa, flavor), dict(mid))
-                m = elements._biv_mul(m, elements._biv_shift({(p1, p2): 1}, cc, flavor))
-                for (q1, q2), mc in m.items():
-                    key = (a + aa, q1, q2, cc + c2)
-                    out[key] = out.get(key, 0) + scal * mc
-    return Element(flavor, out)
-
-
 def test_mul_pair_cache_matches_per_term_body():
     rng = random.Random(73)
     for flavor in (Flavor.FHE, Flavor.EHF):
         for _ in range(8):
             x = _random_element(rng, flavor, max_exp=3, nterms=4)
             y = _random_element(rng, flavor, max_exp=3, nterms=3)
-            expected = _per_term_mul(x, y)
+            expected = _peel_mul(x, y)
             elements._mono_mul.cache_clear()
             assert mul(x, y) == expected  # cold cache
             hits = elements._mono_mul.cache_info().hits
@@ -179,70 +164,69 @@ def test_mul_pair_cache_matches_per_term_body():
     )
 
 
-def _peel_product(r: int, s: int) -> Element:
-    """E(r)*F(s) rebuilt from the one-step rule, bypassing the cross table.
+def _moved_right(g: str, p: IVPoly) -> IVPoly:
+    """The polynomial Q with P * g = g * Q: commute_poly_left run backwards."""
+    return p.shift(-commute_poly_left(g, IVPoly.single(1, p.var)).coeffs[0])
 
-    State: {(a, h1_coeffs, h2_coeffs, c): coeff} for f^(a) p1(H1) p2(H2) e^(c).
-    Multiplying by a plain e on the left uses only
-        e f^(a) = f^(a) e + f^(a-1) (H1 - H2 - a + 1)
-    plus commute_poly_left to walk e through the middle and fdiv_merge to fold
-    it into e^(c). Applying e r times to F(s) gives r! E(r) F(s).
+
+def _times(m1: IVPoly, m2: IVPoly, p: IVPoly) -> tuple[IVPoly, IVPoly]:
+    """The middle m1(H1) m2(H2) times p, a polynomial in one of H1, H2."""
+    return (m1 * p, m2) if p.var == "H1" else (m1, m2 * p)
+
+
+def _peel_mul(x: Element, y: Element) -> Element:
+    """x*y rebuilt from the one-step rule, bypassing the pair products of mul.
+
+    A state term q * L^(a) m1(H1) m2(H2) R^(c) is keyed (a, m1, m2, c). For
+    each term L^(a) P R^(c) of x, y is multiplied on the left by c plain right
+    letters R, each through
+        R L^(a) = L^(a) R + L^(a-1) (D - a + 1),  D = H1 - H2 (FHE), H2 - H1 (EHF),
+    commute_poly_left (R through the middle) and fdiv_merge (R into R^(c)),
+    and divided by c!; then by P, moved right past the left letters; then by
+    L^(a) through fdiv_merge.
     """
-    state: dict[tuple[int, tuple[int, ...], tuple[int, ...], int], Fraction] = {
-        (s, (1,), (1,), 0): Fraction(1)
-    }
+    flavor = x.flavor
+    left, right = flavor.letters
+    up, down = ("H1", "H2") if flavor is Flavor.FHE else ("H2", "H1")
+    terms: dict[tuple[int, int, int, int], Fraction] = {}
 
     def add(dst, key, q):
-        v = dst.get(key, Fraction(0)) + q
-        if v:
-            dst[key] = v
-        else:
-            dst.pop(key, None)
+        dst[key] = dst.get(key, 0) + q
 
-    for _ in range(r):
-        nxt: dict[tuple[int, tuple[int, ...], tuple[int, ...], int], Fraction] = {}
-        for (a, t1, t2, c), q in state.items():
-            p1 = IVPoly("H1", t1)
-            p2 = IVPoly("H2", t2)
-            # Piece one: e walks across f^(a) untouched, shifts the middle,
-            # then merges with e^(c).
-            coef, c_new = fdiv_merge(1, c)
-            s1 = commute_poly_left("e", p1)
-            s2 = commute_poly_left("e", p2)
-            add(nxt, (a, s1.coeffs, s2.coeffs, c_new), q * coef)
-            # Piece two: the commutator drops one f and multiplies the middle
-            # by H1 - H2 - a + 1.
-            if a >= 1:
-                q1 = p1 * (IVPoly.single(1, "H1") + IVPoly.constant(1 - a, "H1"))
-                add(nxt, (a - 1, q1.coeffs, p2.coeffs, c), q)
-                q2 = IVPoly.single(1, "H2") * p2
-                add(nxt, (a - 1, p1.coeffs, q2.coeffs, c), -q)
-        state = nxt
-
-    terms: dict[tuple[int, int, int, int], Fraction] = {}
-    scale = Fraction(1, math.factorial(r))
-    for (a, t1, t2, c), q in state.items():
-        for i, ci in enumerate(t1):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(t2):
-                if cj == 0:
-                    continue
-                key = (a, i, j, c)
-                v = terms.get(key, Fraction(0)) + q * ci * cj * scale
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-    return Element(Flavor.FHE, terms)
+    for (a, b1, b2, c), qx in x.terms.items():
+        state = {}
+        for (a2, p1, p2, c2), qy in y.terms.items():
+            add(state, (a2, IVPoly.single(p1, "H1"), IVPoly.single(p2, "H2"), c2), Fraction(qx * qy))
+        for _ in range(c):
+            nxt = {}
+            for (a2, m1, m2, c2), q in state.items():
+                coef, c_new = fdiv_merge(1, c2)
+                add(nxt, (a2, commute_poly_left(right, m1), commute_poly_left(right, m2), c_new), q * coef)
+                if a2 >= 1:
+                    lin = IVPoly.single(1, up) + IVPoly.constant(1 - a2, up)
+                    add(nxt, (a2 - 1, *_times(m1, m2, lin), c2), q)
+                    add(nxt, (a2 - 1, *_times(m1, m2, IVPoly.single(1, down)), c2), -q)
+            state = nxt
+        for (a2, m1, m2, c2), q in state.items():
+            P1, P2 = IVPoly.single(b1, "H1"), IVPoly.single(b2, "H2")
+            for _ in range(a2):
+                P1, P2 = _moved_right(left, P1), _moved_right(left, P2)
+            coef, total = fdiv_merge(a, a2)
+            q = q * coef / math.factorial(c)
+            for i, ci in enumerate((P1 * m1).coeffs):
+                for j, cj in enumerate((P2 * m2).coeffs):
+                    add(terms, (total, i, j, c2), q * ci * cj)
+    return Element(flavor, terms)
 
 
 def test_straightening_matches_one_step_peeling():
-    for r in range(1, 7):
-        for s in range(0, 7):
-            expected = _peel_product(r, s)
-            got = mul(Element.divided_power("e", r), Element.divided_power("f", s))
-            assert got == expected, (r, s)
+    for flavor in (Flavor.FHE, Flavor.EHF):
+        left, right = flavor.letters
+        for r in range(1, 7):
+            for s in range(0, 7):
+                x = Element.divided_power(right, r, flavor)
+                y = Element.divided_power(left, s, flavor)
+                assert mul(x, y) == _peel_mul(x, y), (flavor, r, s)
 
 
 def test_substitute_offvar():

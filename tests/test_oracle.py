@@ -658,28 +658,30 @@ def test_verify_suite_oracle_selection():
 
 
 def test_verify_suite_catches_injected_sign_error():
-    # Flip one sign in each engine's collision table and make sure the battery
-    # notices: the U-mode table feeds the symbolic relation residues, the
+    # Flip one sign in each engine's collisions and make sure the battery
+    # notices: the U-mode pair products feed the symbolic relation residues, the
     # truncated per-key one feeds mul_bd and the batched one the structure
     # constants. Then restore and confirm it is green again.
-    original_cross = elements._cross
+    original_mono = elements._mono_mul
 
-    def corrupted_cross(flavor, c, a):
-        rows = original_cross(flavor, c, a)
-        if c >= 1 and a >= 1:
-            coef, aa, cc, mid = rows[-1]
-            rows = rows[:-1] + ((-coef, aa, cc, mid),)
+    def corrupted_mono(flavor, xkey, ykey):
+        rows = original_mono(flavor, xkey, ykey)
+        if xkey[3] == ykey[0] == 1:
+            # The collision R^(1) L^(1): flip its t = 1 part, the terms whose
+            # left exponent dropped by one.
+            top = xkey[0] + 1
+            rows = tuple((key, -q if key[0] < top else q) for key, q in rows)
         return rows
 
     # Cached monomial products would hide the swap, so clear every cache
     # before and after each injection.
     schur2.clear_caches()
-    elements._cross = corrupted_cross
+    elements._mono_mul = corrupted_mono
     try:
         failing = {c.name for c in verify_suite(2).checks if not c.passed}
         assert "relations:symbolic" in failing
     finally:
-        elements._cross = original_cross
+        elements._mono_mul = original_mono
         schur2.clear_caches()
 
     original_collision = algebra._collision_table

@@ -21,7 +21,6 @@ from .algebra import (
     mul_bd,
     normalize,
     quotient_map_check,
-    reduce_monomial,
     structure_constants,
     to_h_basis,
     to_power_basis,
@@ -29,7 +28,6 @@ from .algebra import (
 from .elements import (
     Element,
     Flavor,
-    commute_e_past_fdiv,
     commute_poly_left,
     fdiv_merge,
     mul,
@@ -79,7 +77,6 @@ __all__ = [
     "basis",
     "binom",
     "clear_caches",
-    "commute_e_past_fdiv",
     "commute_poly_left",
     "dimension",
     "eval_element",
@@ -98,7 +95,6 @@ __all__ = [
     "prender",
     "quotient_map_check",
     "rank_of_images",
-    "reduce_monomial",
     "render_element",
     "structure_constants",
     "substitute_offvar",

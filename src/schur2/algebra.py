@@ -33,14 +33,14 @@ the cached tables _collision_table and _reduce_table one key at a time. The
 full table is a stream of blocks of basis pairs (structure_blocks) that
 evaluates the same formulas on arrays: every collision polynomial of one d is
 evaluated and differenced in one integer pass (_collision_csr, equal to
-_collision_table key for key), every reduction row of degree <= 2d is
-evaluated in one more pass (equal to _reduce_table row for row), and each
-block gathers its collision terms, scales them by the Pascal factors, expands
-them through the reduction rows and sums by (pair, k). structure_constants
-collects the stream into a StructureTable; `schur2 table` writes it and
-`verify` checks it block by block. A block, or a chunk of the collision pass,
-runs in int64 when an exact bit-length bound stays within 62 bits, and on
-Python ints (object arrays) otherwise; no floats are involved.
+_collision_table key for key), the reduction rows are _reduce_table's own,
+flattened into arrays, and each block gathers its collision terms, scales
+them by the Pascal factors, expands them through the reduction rows and sums
+by (pair, k). structure_constants collects the stream into a StructureTable;
+`schur2 table` writes it and `verify` checks it block by block. A block, or a
+chunk of the collision pass, runs in int64 when an exact bit-length bound
+stays within 62 bits, and on Python ints (object arrays) otherwise; no floats
+are involved.
 """
 
 from __future__ import annotations
@@ -87,13 +87,7 @@ def dimension(d: int) -> int:
 
 def basis(ctx: SchurContext) -> list[Monomial]:
     """All (a,b,c) with a+b+c <= d, lexicographic; length binom(d+3,3)."""
-    d = ctx.d
-    return [
-        (a, b, c)
-        for a in range(d + 1)
-        for b in range(d + 1 - a)
-        for c in range(d + 1 - a - b)
-    ]
+    return _region(ctx.d, True, True)
 
 
 @lru_cache(maxsize=None)
@@ -108,17 +102,6 @@ def _reduce_table(d: int, a: int, b: int, c: int) -> tuple[tuple[Monomial, int],
         coef = (-1) ** (k - s) * binom(k - 1, s - 1) * binom(b + k, k)
         out.append(((a - k, b + k, c - k), coef))
     return tuple(out)
-
-
-def reduce_monomial(a: int, b: int, c: int, ctx: SchurContext) -> Element:
-    """One application of the reduction formula to a single monomial."""
-    return Element(
-        ctx.flavor,
-        {
-            _flavor_key(ctx.flavor, *mono): coef
-            for mono, coef in _reduce_table(ctx.d, a, b, c)
-        },
-    )
 
 
 def _flavor_key(flavor: Flavor, a: int, b: int, c: int) -> tuple[int, int, int, int]:
@@ -171,9 +154,16 @@ def _collision_table(
 
 
 def _own_var_terms(x: Element, d: int) -> dict[Monomial, Scalar]:
-    """x as {(a, b, c): coeff} in the flavor's own H; substitutes only if needed."""
+    """x as {(a, b, c): coeff} in the flavor's own H; substitutes only if needed.
+
+    Terms with a > d or c > d are dropped first: _reduce_table sends each to 0
+    (s > min(a, c)), and the kernel of U -> S(2,d) is an ideal, so neither
+    normalize nor a factor of mul_bd needs them.
+    """
     off = 1 if x.flavor is Flavor.FHE else 2
-    if any(key[off] for key in x.terms):
+    terms = {key: q for key, q in x.terms.items() if key[0] <= d and key[3] <= d}
+    x = Element._of_canonical(x.flavor, terms)
+    if any(key[off] for key in terms):
         x = substitute_offvar(x, d)
     return x.single_var_terms()
 
@@ -212,13 +202,6 @@ class StructureTable:
     flavor: Flavor
     basis: tuple[Monomial, ...]
     products: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]
-
-    def is_integral(self) -> bool:
-        return all(
-            isinstance(q, int) or q.denominator == 1
-            for terms in self.products.values()
-            for _, q in terms
-        )
 
 
 # Pairs per block of the table build, polynomials per chunk of the collision
@@ -311,11 +294,12 @@ class _TableKernel:
     """The two tables of mul_bd's kernel at one d, as arrays.
 
     Collisions are CSR rows keyed by (b, c, a2, b2) in base d+1, one entry per
-    term L^(aa) binom(H,m) R^(cc), from _collision_csr; reductions are
-    _reduce_table's rows as CSR (_reduction_csr), keyed by the unreduced
-    monomial (A, m, C) in base 2d+1 (a product has degree <= 2d), one entry
-    per basis index k. Beside the values sit their bit lengths (per reduction
-    row, its widest entry), for the int64 bound.
+    term L^(aa) binom(H,m) R^(cc), from _collision_csr; reductions are the
+    rows of _reduce_table itself, read once and flattened into CSR
+    (_reduction_csr), keyed by the unreduced monomial (A, m, C) in base 2d+1
+    (a product has degree <= 2d), one entry per basis index k. Beside the
+    values sit their bit lengths (per reduction row, its widest entry), for
+    the int64 bound.
     """
 
     def __init__(self, d: int, monos: list[Monomial]) -> None:
@@ -330,38 +314,31 @@ class _TableKernel:
         pascal = [comb(up, low) for up in range(wide) for low in range(wide)]
         self.pascal = _int_array(pascal).reshape(wide, wide)
         self.pascal_bits = _bit_lengths(pascal).reshape(wide, wide)
-        self._reduction_csr()
+        self._reduction_csr(monos)
 
-    def _reduction_csr(self) -> None:
-        """_reduce_table(d, A, m, C) for every code of base 2d+1, on arrays.
+    def _reduction_csr(self, monos: list[Monomial]) -> None:
+        """_reduce_table(d, A, m, C) for every code of base 2d+1, flattened.
 
-        A monomial of degree <= d (s = A+m+C-d <= 0) is its own row. Above,
-        the row runs over k = s..min(A, C), which is empty once max(A, C) + m
-        > d, and so for every degree above 2d; entry j = k-s is (-1)^j
-        binom(k-1, s-1) binom(m+k, k) at (A-k, m+k, C-k).
+        A row is empty unless max(A, C) + m <= d: below degree d+1 a monomial
+        is its own row, and above it the row's k = s..min(A, C) needs
+        A, C >= s = A+m+C-d. So only the codes with A <= d, m <= d - A and
+        C <= d - m are read, in code order.
         """
         d, wide = self.d, 2 * self.d + 1
-        big_a, m, big_c = np.indices((wide,) * 3).reshape(3, -1)
-        s = big_a + m + big_c - d
-        count = np.where(s <= 0, 1, np.maximum(d + 1 - np.maximum(big_a, big_c) - m, 0))
-        row = np.repeat(np.arange(wide**3), count)
-        first = np.cumsum(count) - count
-        j = np.arange(len(row)) - first[row]
-        s, m = s[row], m[row]
-        k = np.maximum(s, 0) + j
-        index = np.zeros((d + 1,) * 3, dtype=np.int64)
-        index[self.a, self.b, self.c] = np.arange(self.n)
-        self.red_k = index[big_a[row] - k, m + k, big_c[row] - k]
-        # binom(k-1, s-1) is read as binom(0, 0) = 1 on the rows with s <= 0.
-        at = [(np.maximum(k - 1, 0), np.maximum(s - 1, 0)), (m + k, k)]
-        factors = [self.pascal[i] for i in at]
-        if int(sum(self.pascal_bits[i] for i in at).max(initial=0)) > _INT64_BITS:
-            factors = [f.astype(object) for f in factors]
-        qs = (factors[0] * factors[1] * (1 - 2 * (j % 2))).tolist()
-        bits = _bit_lengths(qs)
-        self.red_ptr = np.concatenate(([0], np.cumsum(count)))
-        self.red_q, self.red_bits = _int_array(qs), np.zeros(wide**3, dtype=np.int64)
-        self.red_bits[count > 0] = np.maximum.reduceat(bits, first[count > 0])
+        index = {mono: k for k, mono in enumerate(monos)}
+        codes, rows = [], []
+        for big_a in range(d + 1):
+            for m in range(d + 1 - big_a):
+                for big_c in range(d + 1 - m):
+                    codes.append((big_a * wide + m) * wide + big_c)
+                    rows.append(_reduce_table(d, big_a, m, big_c))
+        lengths = np.zeros(wide**3, dtype=np.int64)
+        lengths[codes] = [len(row) for row in rows]
+        self.red_ptr = np.concatenate(([0], np.cumsum(lengths)))
+        self.red_k = np.array([index[mono] for row in rows for mono, _ in row], dtype=np.int64)
+        self.red_q = _int_array([q for row in rows for _, q in row])
+        self.red_bits = np.zeros(wide**3, dtype=np.int64)
+        self.red_bits[codes] = [max((abs(q).bit_length() for _, q in row), default=0) for row in rows]
 
     def products(self, p0: int, p1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(pair, k, q) of every nonzero structure constant of the pairs p0 <= p < p1.
@@ -444,9 +421,10 @@ def mul_bd_row_mismatches(
     StructureTable.products does; a pair it lacks is a zero product. Returns
     the number of pairs compared and those whose row differs. mul_bd reads
     the per-key _collision_table and the table stream the batched
-    _collision_csr, so this pins the two kernels to each other; the left
-    factors e, binom(H,1) and f meet every collision key (b, c, a2, b2) with
-    b + c <= 1.
+    _collision_csr, so this pins the two collision kernels to each other; the
+    left factors e, binom(H,1) and f meet every collision key (b, c, a2, b2)
+    with b + c <= 1. Both sides read the same _reduce_table, so a fault in
+    the reduction rule shows in the model checks, not here.
     """
     monos = basis(ctx)
     index = {mono: k for k, mono in enumerate(monos)}

@@ -109,16 +109,6 @@ def _as_scalar(q: Scalar) -> Scalar:
     return q
 
 
-def degree_of(key: Key) -> int:
-    a, b1, b2, c = key
-    return a + b1 + b2 + c
-
-
-def height_of(key: Key) -> int:
-    a, _, _, c = key
-    return a + c
-
-
 def fdiv_merge(i: int, j: int) -> tuple[int, int]:
     """Divided-power recombination T^(i) T^(j) = binom(i+j,i) T^(i+j)."""
     return binom(i + j, i), i + j
@@ -254,11 +244,7 @@ class Element:
 
     def degree(self) -> int:
         """Max degree a+b1+b2+c over terms; -1 for the zero element."""
-        return max((degree_of(k) for k in self.terms), default=-1)
-
-    def height(self) -> int:
-        """Max height a+c over terms; -1 for the zero element."""
-        return max((height_of(k) for k in self.terms), default=-1)
+        return max((sum(k) for k in self.terms), default=-1)
 
     def sorted_terms(self) -> Iterator[tuple[Key, Scalar]]:
         for key in sorted(self.terms):
@@ -496,24 +482,6 @@ def linear_product(x: Element, shifts: Sequence[Scalar]) -> Element:
         return Element._of_canonical(x.flavor, out)
     power = den ** len(shifts)
     return Element(x.flavor, {key: Fraction(q, power) for key, q in out.items()})
-
-
-def commute_e_past_fdiv(k: int, flavor: Flavor = Flavor.FHE, d: int | None = None) -> Element:
-    """The straightening identity for (right letter) * (left letter)^(k).
-
-    FHE: e f^(k) = f^(k) e + f^(k-1) (H1-H2-k+1); EHF is the mirror image.
-    With d given, the middle polynomial is collapsed to the flavor's own H
-    via H1 + H2 = d (no truncation is applied).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    terms: dict[Key, Scalar] = {(k, 0, 0, 1): 1}
-    middle = Element(flavor, {(k - 1, b1, b2, 0): q for (b1, b2), q in _D_POLY[flavor].items()})
-    middle = middle + Element(flavor, {(k - 1, 0, 0, 0): 1 - k})
-    out = Element(flavor, terms) + middle
-    if d is not None:
-        out = substitute_offvar(out, d)
-    return out
 
 
 @lru_cache(maxsize=None)

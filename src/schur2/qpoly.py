@@ -22,16 +22,6 @@ def ptrim(coeffs: Sequence[Fraction | int]) -> Poly:
     return tuple(out)
 
 
-def padd(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return ptrim(
-        [
-            (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-            for i in range(n)
-        ]
-    )
-
-
 def pmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
@@ -92,10 +82,11 @@ def peval(p: Poly, x: Fraction | int) -> Fraction:
 
 
 def pfrom_roots(roots: Sequence[int]) -> Poly:
-    out: Poly = (Fraction(1),)
+    """prod (T - r) over the integer roots, expanded on ints and converted once."""
+    out = [1]
     for r in roots:
-        out = pmul(out, (Fraction(-r), Fraction(1)))
-    return out
+        out = [lo - r * hi for lo, hi in zip([0, *out], [*out, 0])]
+    return ptrim(out)
 
 
 def prender(p: Poly, var: str = "T") -> str:

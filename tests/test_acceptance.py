@@ -26,7 +26,6 @@ from schur2.algebra import (
     normalize,
     presentation_relations,
     quotient_map_check,
-    reduce_monomial,
     structure_constants,
 )
 from schur2.elements import Element, Flavor, mul
@@ -106,7 +105,7 @@ def test_criterion_4_reduction_formula_against_model():
                 for b in range(d + 4 - a):
                     for c in range(d + 4 - a - b):
                         raw = eval_element(Element.monomial(a, b, c), rep)
-                        red = eval_element(reduce_monomial(a, b, c, ctx), rep)
+                        red = eval_element(normalize(Element.monomial(a, b, c), ctx), rep)
                         assert np.array_equal(raw, red), (d, a, b, c)
         assert time.time() - start < 60
 
@@ -116,7 +115,7 @@ def test_criterion_5_integrality_and_all_products():
         start = time.time()
         for d in range(1, 7):
             table = structure_constants(SchurContext(d))
-            assert table.is_integral(), d
+            assert all(type(q) is int for row in table.products.values() for _, q in row), d
             for make in (tensor_rep, weight_rep):
                 ok, detail = products_match(table, make(d))
                 assert ok, (d, make.__name__, detail)
@@ -210,7 +209,7 @@ def test_criterion_8_property_suites():
             for a in range(d + 2):
                 for b in range(d + 2 - a):
                     c = d + 1 - a - b
-                    out = reduce_monomial(a, b, c, ctx)
+                    out = normalize(Element.monomial(a, b, c), ctx)
                     for (aa, bb, cc) in out.single_var_terms():
                         assert aa + bb + cc < a + b + c
                         assert aa + cc < a + c

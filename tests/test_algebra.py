@@ -24,7 +24,6 @@ from schur2.algebra import (
     normalize,
     presentation_relations,
     quotient_map_check,
-    reduce_monomial,
     structure_constants,
     to_h_basis,
     to_power_basis,
@@ -51,31 +50,59 @@ def test_basis_shape_and_order():
         assert len(basis(SchurContext(d))) == dimension(d)
 
 
+def _reduce(a, b, c, ctx):
+    """One monomial f^(a) binom(H,b) e^(c) (or its EHF mirror), normalized."""
+    return normalize(Element.monomial(a, b, c, ctx.flavor), ctx)
+
+
 def test_reduce_monomial_frozen_cases():
-    ctx1 = SchurContext(1)
-    assert reduce_monomial(1, 0, 1, ctx1).single_var_terms() == {(0, 1, 0): 1}
-    assert reduce_monomial(1, 1, 0, ctx1).is_zero()
-    assert reduce_monomial(0, 0, 2, ctx1).is_zero()
-    ctx2 = SchurContext(2)
-    assert reduce_monomial(1, 1, 1, ctx2).single_var_terms() == {(0, 2, 0): 2}
-    # Monomials already inside the span are fixed.
-    assert reduce_monomial(1, 1, 0, ctx2).single_var_terms() == {(1, 1, 0): 1}
-    for d in range(4):
-        ctx = SchurContext(d)
-        assert reduce_monomial(0, 0, d + 1, ctx).is_zero()
-        assert reduce_monomial(d + 1, 0, 0, ctx).is_zero()
+    for flavor in Flavor:
+        ctx1 = SchurContext(1, flavor)
+        assert _reduce(1, 0, 1, ctx1).single_var_terms() == {(0, 1, 0): 1}
+        assert _reduce(1, 1, 0, ctx1).is_zero()
+        assert _reduce(0, 0, 2, ctx1).is_zero()
+        ctx2 = SchurContext(2, flavor)
+        assert _reduce(1, 1, 1, ctx2).single_var_terms() == {(0, 2, 0): 2}
+        # Monomials already inside the span are fixed.
+        assert _reduce(1, 1, 0, ctx2).single_var_terms() == {(1, 1, 0): 1}
+        for d in range(4):
+            ctx = SchurContext(d, flavor)
+            assert _reduce(0, 0, d + 1, ctx).is_zero()
+            assert _reduce(d + 1, 0, 0, ctx).is_zero()
 
 
 def test_reduce_monomial_drops_degree_and_height():
-    for d in range(6):
-        ctx = SchurContext(d)
-        for a in range(d + 2):
-            for b in range(d + 2 - a):
-                c = d + 1 - a - b
-                out = reduce_monomial(a, b, c, ctx)
-                for (aa, bb, cc) in out.single_var_terms():
-                    assert aa + bb + cc <= d
-                    assert aa + cc < a + c
+    for flavor in Flavor:
+        for d in range(6):
+            ctx = SchurContext(d, flavor)
+            for a in range(d + 2):
+                for b in range(d + 2 - a):
+                    c = d + 1 - a - b
+                    out = _reduce(a, b, c, ctx)
+                    for (aa, bb, cc) in out.single_var_terms():
+                        assert aa + bb + cc <= d
+                        assert aa + cc < a + c
+
+
+def test_normalize_drops_terms_beyond_d_before_substitution(monkeypatch):
+    # A term with a letter exponent above d reduces to 0, so normalize drops
+    # it before collapsing the off-flavor variable: 9,139 of the 12,301 terms
+    # of e^40*f^40 at d = 3. e*f carries H1 and still needs the substitution.
+    seen = []
+
+    def recorded(x, d):
+        seen.append(x)
+        return substitute_offvar(x, d)
+
+    monkeypatch.setattr(algebra, "substitute_offvar", recorded)
+    for flavor in Flavor:
+        ctx = SchurContext(3, flavor)
+        big = parse_element("e^40*f^40", flavor)
+        small = parse_element("e*f", flavor)
+        assert normalize(big, ctx).is_zero()
+        assert normalize(big + small, ctx) == normalize(small, ctx) != Element.zero(flavor)
+    assert seen
+    assert all(a <= 3 and c <= 3 for x in seen for a, _, _, c in x.terms)
 
 
 def test_normalize_frozen_cases():
@@ -222,19 +249,6 @@ def test_reduction_csr_matches_reduce_table():
         assert all(type(q) is int for q in qs)
 
 
-def test_reduction_csr_python_int_path(monkeypatch):
-    # With a bit bound of 0 the coefficients are multiplied on Python ints;
-    # the rows must not change.
-    for d in range(6):
-        monos = basis(SchurContext(d))
-        want = algebra._TableKernel(d, monos)
-        monkeypatch.setattr(algebra, "_INT64_BITS", 0)
-        got = algebra._TableKernel(d, monos)
-        monkeypatch.undo()
-        for name in ("red_ptr", "red_k", "red_q", "red_bits"):
-            assert getattr(got, name).tolist() == getattr(want, name).tolist(), (d, name)
-
-
 def _random_element(rng, flavor, max_exp=2, nterms=3):
     terms = {}
     for _ in range(nterms):
@@ -272,7 +286,7 @@ def test_structure_constants_d1_full_table():
     for i in range(4):
         for j in range(4):
             assert table.products[(i, j)] == _D1_TABLE.get((i, j), ()), (i, j)
-    assert table.is_integral()
+    assert all(type(q) is int for row in table.products.values() for _, q in row)
 
 
 def test_structure_constants_identity_rows():
@@ -341,7 +355,8 @@ def test_structure_constants_block_boundaries(monkeypatch, block):
 
 def test_structure_constants_integral():
     for d in range(5):
-        assert structure_constants(SchurContext(d)).is_integral()
+        products = structure_constants(SchurContext(d)).products
+        assert all(type(q) is int for row in products.values() for _, q in row)
 
 
 def test_flavors_share_one_table():

@@ -21,11 +21,8 @@ from schur2 import elements
 from schur2.elements import (
     Element,
     Flavor,
-    commute_e_past_fdiv,
     commute_poly_left,
-    degree_of,
     fdiv_merge,
-    height_of,
     mul,
     render_element,
     substitute_offvar,
@@ -73,17 +70,22 @@ def test_commute_poly_left_pointwise():
 
 
 def test_commute_e_past_fdiv_small():
-    one = commute_e_past_fdiv(1)
-    assert one.terms == {(1, 0, 0, 1): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): -1}
-    collapsed = commute_e_past_fdiv(1, d=1)
+    # e f^(k) = f^(k) e + f^(k-1) (H1 - H2 - k + 1), and its EHF mirror
+    # f e^(k) = e^(k) f + e^(k-1) (H2 - H1 - k + 1).
+    def e_past_f(k, flavor=Flavor.FHE):
+        left, right = flavor.letters
+        return mul(Element.divided_power(right, 1, flavor), Element.divided_power(left, k, flavor))
+
+    assert e_past_f(1).terms == {(1, 0, 0, 1): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): -1}
+    collapsed = substitute_offvar(e_past_f(1), 1)
     assert collapsed.terms == {(1, 0, 0, 1): 1, (0, 0, 0, 0): 1, (0, 0, 1, 0): -2}
-    two = commute_e_past_fdiv(2)
-    assert two.terms == {
+    assert e_past_f(2).terms == {
         (2, 0, 0, 1): 1,
         (1, 1, 0, 0): 1,
         (1, 0, 1, 0): -1,
         (1, 0, 0, 0): -1,
     }
+    assert e_past_f(1, Flavor.EHF).terms == {(1, 0, 0, 1): 1, (0, 1, 0, 0): -1, (0, 0, 1, 0): 1}
 
 
 def test_mul_generator_example():
@@ -276,11 +278,9 @@ def test_symmetry_is_multiplicative():
 
 
 def test_degree_and_height():
-    assert degree_of((1, 2, 0, 3)) == 6
-    assert height_of((1, 2, 0, 3)) == 4
+    assert Element(Flavor.FHE, {(1, 2, 0, 3): 1}).degree() == 6
     x = Element(Flavor.FHE, {(1, 0, 0, 0): 1, (0, 2, 1, 1): 1})
     assert x.degree() == 4
-    assert x.height() == 1
     assert Element.zero().degree() == -1
 
 

@@ -599,6 +599,11 @@ def test_package_exports():
         assert name not in schur2.__all__
         assert not hasattr(schur2, name)
         assert not hasattr(algebra, name)
+    # A monomial's reduction is normalize of it, and e f^(k) is one mul.
+    for name in ("reduce_monomial", "commute_e_past_fdiv"):
+        assert name not in schur2.__all__
+        for module in (schur2, algebra, elements):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_verify_suite_builds_relations_once_and_no_dense_image(monkeypatch):
@@ -722,6 +727,32 @@ def test_verify_suite_catches_injected_sign_error():
         assert failing & {"products:tensor", "products:weight"}
     finally:
         algebra._collision_csr = original_fill
+        schur2.clear_caches()
+    assert verify_suite(2).all_passed
+
+
+def test_verify_suite_catches_a_wrong_reduction_coefficient():
+    # mul_bd and the table stream read the same _reduce_table, so
+    # structure:mul_bd cannot see a fault in the reduction rule; the product
+    # checks against the two models must. Negate the first coefficient of
+    # every row that reduces (a+b+c > d), then restore.
+    original = algebra._reduce_table
+
+    def corrupted(d, a, b, c):
+        rows = original(d, a, b, c)
+        if rows and a + b + c > d:
+            (mono, q), *rest = rows
+            rows = ((mono, -q), *rest)
+        return rows
+
+    schur2.clear_caches()
+    algebra._reduce_table = corrupted
+    try:
+        for d in (2, 3):
+            failing = {c.name for c in verify_suite(d, "both").checks if not c.passed}
+            assert {"products:weight", "products:tensor"} <= failing, (d, failing)
+    finally:
+        algebra._reduce_table = original
         schur2.clear_caches()
     assert verify_suite(2).all_passed
 

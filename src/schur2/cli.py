@@ -25,7 +25,7 @@ import numpy as np
 from . import algebra, oracle
 from .algebra import SchurContext
 from .elements import Element, Flavor, render_element
-from .exprs import ParseError, parse_element, render_plain_terms
+from .exprs import parse_element, render_plain_terms
 from .qpoly import prender
 
 
@@ -236,10 +236,7 @@ def entry(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

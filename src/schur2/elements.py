@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import compress, zip_longest
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .ivpoly import (
     binom_product_coeffs,
     values_to_coeffs,
 )
+from .qpoly import render_terms
 
 Scalar = int | Fraction
 Key = tuple[int, int, int, int]  # (a, b1, b2, c)
@@ -90,14 +91,10 @@ class Flavor(enum.Enum):
 # Shift of (H1, H2) when one left-letter crosses a polynomial, which by the
 # rules above coincides with the shift when a polynomial crosses one
 # right-letter: FHE moves f leftward / past e leftward, both (H1-1, H2+1).
+# D in the peeling rule R^(k) L = L R^(k) + (D-k+1) R^(k-1) is sign*(H1-H2),
+# and sign is the H2 shift: FHE has (-1, 1) and D = H1-H2, EHF has (1, -1)
+# and D = H2-H1.
 _LETTER_SHIFT = {Flavor.FHE: (-1, 1), Flavor.EHF: (1, -1)}
-
-# D in the peeling rule R^(k) L = L R^(k) + (D-k+1) R^(k-1), as a bivariate
-# polynomial over keys (b1, b2): FHE has D = H1-H2, EHF has D = H2-H1.
-_D_POLY = {
-    Flavor.FHE: {(1, 0): 1, (0, 1): -1},
-    Flavor.EHF: {(1, 0): -1, (0, 1): 1},
-}
 
 
 def _as_scalar(q: Scalar) -> Scalar:
@@ -294,7 +291,7 @@ def _mono_mul(flavor: Flavor, xkey: Key, ykey: Key) -> tuple[tuple[Key, int], ..
     """Straightened product of two monomials, as integer (key, coef) pairs.
 
     With x = L^(a) P R^(c), y = L^(a2) Q R^(c2), letter shift (s1, s2) and D
-    = sign*(H1-H2) as in _D_POLY, Kostant's formula
+    = s2*(H1-H2) (see _LETTER_SHIFT), Kostant's formula
     R^(c) L^(a2) = sum_t L^(a2-t) binom(D-a2-c+2t, t) R^(c-t), t <= min(c, a2),
     gives, with aa = a2-t and cc = c-t,
 
@@ -308,7 +305,6 @@ def _mono_mul(flavor: Flavor, xkey: Key, ykey: Key) -> tuple[tuple[Key, int], ..
     a, b1, b2, c = xkey
     a2, p1, p2, c2 = ykey
     s1, s2 = _LETTER_SHIFT[flavor]
-    sign = _D_POLY[flavor][(1, 0)]
     out = []
     for t in range(min(c, a2), -1, -1):
         aa, cc = a2 - t, c - t
@@ -319,7 +315,7 @@ def _mono_mul(flavor: Flavor, xkey: Key, ykey: Key) -> tuple[tuple[Key, int], ..
             coeffs = [[u * v for v in g2] for u in values_to_coeffs(f1)]
         else:
             coeffs = _grid_coeffs([
-                [u * v * binom(sign * (h1 - h2) - a2 - c + 2 * t, t) for h2, v in enumerate(f2)]
+                [u * v * binom(s2 * (h1 - h2) - a2 - c + 2 * t, t) for h2, v in enumerate(f2)]
                 for h1, u in enumerate(f1)
             ])
         scale = binom(a + aa, a) * binom(cc + c2, cc)
@@ -386,7 +382,7 @@ def _right_letters(
     src = np.flatnonzero(total < k)
     a, b1, b2, c = keys[src].T
     shift = _LETTER_SHIFT[flavor]
-    sign = _D_POLY[flavor][(1, 0)]
+    sign = shift[1]  # the sign of D (see _LETTER_SHIFT)
     parts = []  # (g, rows, target key, coefficient)
     if region[3]:
         parts.append((3, src, (a, b1, b2, c + 1), c + 1))
@@ -508,37 +504,6 @@ def substitute_offvar(x: Element, d: int) -> Element:
             key = (a, 0, m, c) if fhe else (a, m, 0, c)
             out[key] = out.get(key, 0) + q * cm
     return Element(x.flavor, out)
-
-
-def render_scalar(q: Scalar) -> str:
-    q = _as_scalar(q)
-    if isinstance(q, Fraction):
-        return f"{q.numerator}/{q.denominator}"
-    return str(q)
-
-
-def render_terms(terms: Iterable[tuple[Scalar, str]]) -> str:
-    """Signed sum of (coefficient, monomial) terms, e.g. "-E(1) + 1/2*F(1) - 3".
-
-    An empty monomial is a constant term; zero coefficients are skipped, and
-    a sum with no terms is "0".
-    """
-    out = ""
-    for q, mono in terms:
-        if not q:
-            continue
-        mag = -q if q < 0 else q
-        if not mono:
-            body = render_scalar(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{render_scalar(mag)}*{mono}"
-        if out:
-            out += (" - " if q < 0 else " + ") + body
-        else:
-            out = ("-" if q < 0 else "") + body
-    return out or "0"
 
 
 def render_element(x: Element) -> str:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .elements import Element, Flavor, Scalar, linear_product, mul, render_terms
+from .elements import Element, Flavor, Scalar, linear_product, mul
+from .qpoly import render_terms
 
 
 class ParseError(ValueError):

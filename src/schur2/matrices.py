@@ -8,22 +8,18 @@ engine's Krylov sequences and linear-form products), and only when
 `int64_safe` proves from a priori bounds that no overflow can occur; the rank
 certificate below works in int64 on residues mod p.
 
-Rank is exact. For an integral matrix with m rows, `exact_rank` first tries
-to certify full row rank mod p, all in bounded int64:
+Rank is exact, and `exact_rank` takes integer matrices only: int64, or Python
+ints in an object array. For m rows it first tries to certify full row rank
+mod p, all in bounded int64: the matrix is reduced mod p once, and the
+residues are eliminated, each pivot updating only the rows below it that are
+nonzero in its column. Full row rank mod p gives full row rank over Q (a
+nonzero minor mod p is a nonzero integer minor), and the rank is m exactly.
+No column is selected: the callers pass one stack of probe vectors per shift,
+over the columns that shift touches, square on a passing run. A column that
+vanishes mod p only makes the certificate fail.
 
-1. Columns: the matrix is reduced mod p once, and columns that are zero mod p
-   are dropped. Any column subset S gives rank(M[:,S]) <= rank(M) <= m, so a
-   dropped column can cost the certificate, never correctness. Nothing else is
-   selected: the callers pass one stack of probe vectors per shift, square
-   with no zero column in the weight model, and zero outside its shift's
-   orbit classes in the word model, one column per class.
-2. Certificate: the kept residues are eliminated mod p, each pivot updating
-   only the rows below it that are nonzero in its column. Full row rank mod p
-   gives full row rank over Q (a nonzero minor mod p is a nonzero integer
-   minor), and the rank is m exactly.
-
-When the certificate fails, and for non-integral input, fraction-free
-(Bareiss) elimination on the full exact matrix decides.
+When it fails, fraction-free (Bareiss) elimination on the exact integers
+decides.
 
 Minimal polynomials come from Krylov sequences: the lcm of the relative
 minimal polynomials of standard basis vectors, skipping seeds the current
@@ -41,6 +37,7 @@ is the only Fraction step.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -50,15 +47,6 @@ from .qpoly import Poly, plcm, pmonic, ptrim
 
 _INT64_SAFE = 2**62
 _CERT_PRIME = 2**31 - 1
-
-
-def is_integral(a: np.ndarray) -> bool:
-    if a.dtype != object:
-        return np.issubdtype(a.dtype, np.integer)
-    return all(
-        isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
-        for x in a.flat
-    )
 
 
 def int64_safe(n: int, max_a: int, max_b: int) -> bool:
@@ -117,22 +105,12 @@ def apply_right(v: np.ndarray, action: RightAction, diag: int = 0, bound: int | 
     return out
 
 
-def _clear_denominators(rows: list[list[int | Fraction]]) -> list[list[int]]:
-    """Row-wise denominator clearing; preserves rank."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                lcm = lcm * d // math.gcd(lcm, d)
-        out.append([int(x * lcm) for x in row])
-    return out
-
-
 def bareiss_rank(a: np.ndarray) -> int:
-    """Exact rank by fraction-free elimination (one-step Bareiss)."""
-    rows = _clear_denominators([list(r) for r in np.asarray(a, dtype=object)])
+    """Exact rank of an integer matrix by fraction-free elimination (one-step Bareiss).
+
+    Entries go through operator.index, so a Fraction raises TypeError.
+    """
+    rows = [list(map(operator.index, r)) for r in np.asarray(a).tolist()]
     m = len(rows)
     n = len(rows[0]) if m else 0
     rank = 0
@@ -186,27 +164,24 @@ def _modp_rank(red: np.ndarray, p: int) -> int:
 
 
 def exact_rank(a: np.ndarray) -> int:
-    """Exact rank over Q.
+    """Exact rank over Q of an int64 matrix, or of Python ints in an object array.
 
-    Integral input (any integer dtype, or object ints) first tries the mod-p
-    certificate of full row rank: reduce mod p once, drop the columns that are
-    zero there and eliminate the rest. Full row rank there makes the answer the
-    row count, exactly. The oracles' probe stacks come one per shift, so no
-    further column selection pays (module docstring). Otherwise, and for
-    Fraction entries, Bareiss elimination on the full exact matrix gives the
-    rank.
+    The mod-p certificate of full row rank comes first: reduce mod p once and
+    eliminate the residues; full row rank there makes the answer the row
+    count, exactly. Otherwise Bareiss elimination on the exact matrix gives
+    the rank. Object residues go through operator.index, so a Fraction raises
+    TypeError rather than being truncated to an integer.
     """
-    a = np.asarray(a)
-    if a.dtype != object:
-        # The residue arithmetic is int64; a dtype int64 cannot hold goes exact.
-        a = a.astype(np.int64 if np.can_cast(a.dtype, np.int64) else object, copy=False)
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    if is_integral(a):
-        red = (a % _CERT_PRIME).astype(np.int64, copy=False)
-        if _modp_rank(red[:, red.any(axis=0)], _CERT_PRIME) == m:
-            return m
+    red = a % _CERT_PRIME
+    if red.dtype == object:
+        red = np.fromiter(map(operator.index, red.flat), np.int64, red.size).reshape(m, n)
+    elif red.dtype != np.int64:
+        raise TypeError(f"exact_rank takes int64 or object integer matrices, not {a.dtype}")
+    if _modp_rank(red, _CERT_PRIME) == m:
+        return m
     return bareiss_rank(a)
 
 

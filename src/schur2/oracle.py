@@ -37,7 +37,10 @@ are the binom(d+3,3) Sigma_d-orbits on pairs of words, and every map in
 S(2,d) = End_{Sigma_d}(V^(x)d) is constant on them (Green's basis xi_A,
 *Polynomial Representations of GL_n*, ch. 2), so probe vectors keep ranks and
 decide equalities exactly, with no array of length 2^d. A relation is zero
-iff, for every shift, the probe vectors of its terms sum to zero.
+iff, for every shift, the probe vectors of its terms sum to zero. A stack of
+probe vectors (`Rep.probes`) spans only the columns its keys touch, so a rank
+group holds its own shift's classes or weights, as many as it has rows when
+the images are independent, and none of them zero.
 
 Products are checked pair by pair on probe vectors, as the structure table
 streams past (`ProductCheck`). An image of shift s times one of shift s' has
@@ -112,22 +115,28 @@ class Rep:
         h = np.arange(self.d + 1)
         return self._binom[self.d - h, min(b1, self.d + 1)] * self._binom[h, min(b2, self.d + 1)]
 
-    def probes(self, keys: list[Key]) -> np.ndarray:
-        """Probe vectors of the FHE images of `keys`, one row each."""
+    def probes(self, keys: list[Key]) -> tuple[np.ndarray, np.ndarray]:
+        """Probe vectors of the FHE images of `keys` over the model columns they touch.
+
+        Returns (cols, stack): the sorted columns that some key's closed form
+        reaches, and one row per key holding its probe vector on them.
+        """
         by_ac: dict[tuple[int, int], list[int]] = {}
         for t, (a, _, _, c) in enumerate(keys):
             by_ac.setdefault((a, c), []).append(t)
-        blocks, top = [], 0
+        blocks, top, hit = [], 0, np.zeros(self._width, dtype=bool)
         for (a, c), ts in by_ac.items():
             pos, h2, coef = self._entries(a, c)
             p = np.array([self._h_values(keys[t][1], keys[t][2]) for t in ts])
             vals = p[:, h2] * coef
             top = max(top, vals.max(initial=0))
+            hit[pos] = True
             blocks.append((ts, pos, vals))
-        out = np.zeros((len(keys), self._width), dtype=np.int64 if top < 2**62 else object)
+        at = np.cumsum(hit) - 1
+        out = np.zeros((len(keys), int(at[-1]) + 1), dtype=np.int64 if top < 2**62 else object)
         for ts, pos, vals in blocks:
-            out[np.ix_(ts, pos)] = vals
-        return out
+            out[np.ix_(ts, at[pos])] = vals
+        return np.flatnonzero(hit), out
 
 
 class _WeightRep(Rep):
@@ -256,12 +265,12 @@ def vanishes(x: Element, rep: Rep) -> bool:
 
 
 def shift_groups(monos: list[Monomial], rep: Rep) -> Iterator[np.ndarray]:
-    """Probe vectors of the monomial images, one matrix per shift a-c."""
+    """Probe vectors of the monomial images, one matrix per shift a-c, over that shift's columns."""
     groups: dict[int, list[Key]] = {}
     for a, b, c in monos:
         groups.setdefault(a - c, []).append((a, 0, b, c))
     for keys in groups.values():
-        yield rep.probes(keys)
+        yield rep.probes(keys)[1]
 
 
 def rank_of_images(monos: list[Monomial], rep: Rep) -> int:
@@ -296,7 +305,10 @@ class ProductCheck:
     def __init__(self, monos: Sequence[Monomial], rep: Rep):
         self.rep, self.monos, self.n = rep, list(monos), len(monos)
         self._shifts = np.array([a - c for a, _, c in self.monos], dtype=np.int64)
-        self._probes = rep.probes([(a, 0, b, c) for a, b, c in self.monos])
+        # _compose indexes model columns, so the stack goes to full width.
+        cols, stack = rep.probes([(a, 0, b, c) for a, b, c in self.monos])
+        self._probes = np.zeros((self.n, rep._width), dtype=stack.dtype)
+        self._probes[:, cols] = stack
         self._bound = int(np.abs(self._probes).max(initial=0))
         if not matrices.int64_safe(rep.dim, self._bound, self._bound):
             self._probes = self._probes.astype(object)

@@ -2,15 +2,15 @@
 
 Coefficient tuples run from the constant term upward and drop trailing zeros.
 Just enough arithmetic for minimal-polynomial work: product, division, gcd,
-lcm, evaluation, construction from roots, and deterministic rendering.
+lcm, evaluation, construction from roots, and deterministic rendering. The
+signed-sum renderer `render_terms` also writes elements and expressions; this
+module imports nothing from the package, so any module may import it first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
-from .elements import render_terms
+from typing import Iterable, Sequence
 
 Poly = tuple[Fraction, ...]
 
@@ -94,3 +94,27 @@ def prender(p: Poly, var: str = "T") -> str:
     return render_terms(
         (p[k], "" if k == 0 else var if k == 1 else f"{var}^{k}") for k in reversed(range(len(p)))
     )
+
+
+def render_terms(terms: Iterable[tuple[int | Fraction, str]]) -> str:
+    """Signed sum of (coefficient, monomial) terms, e.g. "-E(1) + 1/2*F(1) - 3".
+
+    An empty monomial is a constant term; zero coefficients are skipped, and
+    a sum with no terms is "0". str writes an integral Fraction as an int.
+    """
+    out = ""
+    for q, mono in terms:
+        if not q:
+            continue
+        mag = -q if q < 0 else q
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if out:
+            out += (" - " if q < 0 else " + ") + body
+        else:
+            out = ("-" if q < 0 else "") + body
+    return out or "0"

@@ -19,7 +19,6 @@ from schur2.matrices import (
     bareiss_rank,
     exact_rank,
     first_dependency,
-    is_integral,
     min_poly,
 )
 from schur2.oracle import shift_groups, tensor_rep, weight_rep
@@ -159,10 +158,11 @@ def test_rank_known_cases():
     # A case whose leading entry vanishes after the first elimination round.
     b = _obj([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
     assert bareiss_rank(b) == 3
-    # Fractions: a singular pair of rows and an invertible one.
-    c = _obj([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]])
+    # Rows (1/2, 1/3) with (3/2, 1), a singular pair, and with (3/2, 2), an
+    # invertible one, each row scaled to integers.
+    c = _obj([[3, 2], [3, 2]])
     assert bareiss_rank(c) == 1
-    d = _obj([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]])
+    d = _obj([[3, 2], [3, 4]])
     assert bareiss_rank(d) == 2
 
 
@@ -214,8 +214,8 @@ def test_exact_rank_agrees_with_bareiss():
     cases.append(np.array(rand_rows(4, 6, -(2**62), 2**62), dtype=np.int64))
     twice = rand_rows(3, 5)
     cases.append(np.array(twice + [twice[1]], dtype=np.int64))
-    # Full rank only through a column of nonzero multiples of p: the residue
-    # filter drops that column, and the answer must still be exact.
+    # Full rank only through a column of nonzero multiples of p: that column
+    # is zero mod p, so the certificate fails, and Bareiss gives the answer.
     square = _obj([[2, 1, 0, p], [1, 3, 1, -2 * p], [0, 1, 4, 3 * p], [0, 0, 0, 4 * p]])
     cases.append(square)
     # Object input with entries above 2**63, full rank and rank deficient.
@@ -265,28 +265,16 @@ def test_min_poly_base_cases():
     assert min_poly(nil) == ptrim([0, 0, 0, 1])
 
 
-def test_min_poly_seeks_no_int64_bound(monkeypatch):
-    # The sparse exact arithmetic needs no integrality test of the matrix, so
-    # none is made, at any step.
-    counts = {"is_integral": 0}
-    for name in counts:
-
-        def counted(x, _name=name, _original=getattr(matrices, name)):
-            if np.ndim(x) == 2:
-                counts[_name] += 1
-            return _original(x)
-
-        monkeypatch.setattr(matrices, name, counted)
+def test_min_poly_seeks_no_int64_bound():
+    # The sparse exact arithmetic needs no bound on the entries: coefficients
+    # far above 2**63 come out exact.
     companion = _obj([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-2, 3, 1, 1]])
     # Diagonal entries near 2**40 give coefficients far above 2**63.
     diag = [2**40, 2**40 + 1, -(2**40), 3]
     triangular = _obj([[diag[i] if i == j else max(j - i, 0) for j in range(4)] for i in range(4)])
     cases = ((companion, ptrim([2, -3, -1, -1, 1])), (triangular, pfrom_roots(diag)))
     for a, expected in cases:
-        for name in counts:
-            counts[name] = 0
         assert min_poly(a) == expected
-        assert counts == {"is_integral": 0}
 
 
 def test_min_poly_rejects_non_square_under_optimize_flag():
@@ -353,10 +341,15 @@ def test_min_poly_block_lcm():
     assert min_poly(a) == pmul(pfrom_roots([1]), ptrim([0, 0, 1]))
 
 
-def test_as_exact_and_integrality():
-    a = _obj([[1, 2], [3, 4]])
-    assert a.dtype == object
-    assert is_integral(a)
-    b = _obj([[Fraction(1, 2), 0], [0, 1]])
-    assert not is_integral(b)
-    assert is_integral(_obj([[Fraction(4, 2)]]))
+def test_rank_takes_integers_only():
+    # A Fraction, integral or not, raises rather than being truncated: numpy's
+    # astype(np.int64) turns Fraction(1, 2) into 0, which would make this
+    # matrix singular.
+    for entry in (Fraction(1, 2), Fraction(4, 2)):
+        a = _obj([[entry, 0], [0, 1]])
+        for rank in (exact_rank, bareiss_rank):
+            with pytest.raises(TypeError):
+                rank(a)
+    with pytest.raises(TypeError):
+        exact_rank(np.eye(2, dtype=np.int32))
+    assert exact_rank(_obj([[1, 2], [3, 4]])) == bareiss_rank(np.array([[1, 2], [3, 4]])) == 2

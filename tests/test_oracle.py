@@ -196,6 +196,30 @@ def _position_swaps(d):
     return out
 
 
+def _widen(rep, cols, stack):
+    """A `Rep.probes` result at the full model width: zero outside cols."""
+    out = np.zeros((len(stack), rep._width), dtype=stack.dtype)
+    out[:, cols] = stack
+    return out
+
+
+def _wide_probes(rep, keys):
+    """Probe vectors at the full model width, one key at a time from the closed forms."""
+    out = np.zeros((len(keys), rep._width), dtype=object)
+    for t, (a, b1, b2, c) in enumerate(keys):
+        pos, h2, coef = rep._entries(a, c)
+        out[t, pos] = rep._h_values(b1, b2)[h2] * coef
+    return out
+
+
+def _wide_groups(monos, rep):
+    """The rank groups of `shift_groups`, built per key at the full model width."""
+    groups: dict[int, list] = {}
+    for a, b, c in monos:
+        groups.setdefault(a - c, []).append((a, 0, b, c))
+    return [_wide_probes(rep, keys) for keys in groups.values()]
+
+
 def test_tensor_orbit_columns_fix_the_images():
     # The word action, applied here to the columns at the orbit words
     # 1^(d-k) 2^k, must give at every row U the probe entry of the class
@@ -215,7 +239,7 @@ def test_tensor_orbit_columns_fix_the_images():
             assert not (step % c).any()
             e_cols.append(step // c)
         keys = [(a, 0, b, c) for a, b, c in basis(SchurContext(d))]
-        for key, probe in zip(keys, rep.probes(keys)):
+        for key, probe in zip(keys, _widen(rep, *rep.probes(keys))):
             a, _, b, c = key
             cols = np.array([math.comb(int(y), b) for y in h2])[:, None] * e_cols[c]
             for m in range(1, a + 1):
@@ -247,7 +271,7 @@ def test_counted_products_match_dense_word_products():
         # W = the low k bits, U = the low i bits and u-i bits above bit k.
         k, u, i = rep._k, rep._u, rep._i
         rows, cols = ((1 << i) - 1) | (((1 << (u - i)) - 1) << k), (1 << k) - 1
-        probes = rep.probes([(a, 0, b, c) for a, b, c in monos])
+        probes = _widen(rep, *rep.probes([(a, 0, b, c) for a, b, c in monos]))
         shifts = np.array([a - c for a, _, c in monos])
         lefts = range(len(monos)) if d <= 4 else rng.sample(range(len(monos)), 12)
         for x in lefts:
@@ -315,7 +339,7 @@ def test_probes_stay_exact_beyond_int64():
         step[1:] = f_sub[:, None] * m[:-1]
         assert not (step % k).any()
         m = step // k
-    probe = rep.probes([(14, 0, 10, 14)])[0]
+    probe = _widen(rep, *rep.probes([(14, 0, 10, 14)]))[0]
     assert probe.dtype == object
     assert max(probe) > 2**63
     # Shift 0: the image is diagonal, with the probe vector on the diagonal.
@@ -392,6 +416,50 @@ def test_rank_of_images_matches_dimension():
         # Bareiss fallback must still return the exact rank.
         assert rank_of_images(monos + [monos[0]], weight_rep(d)) == dimension(d)
     assert rank_of_images([(0, 0, 0)], tensor_rep(2)) == 1
+
+
+def test_shift_groups_are_square_over_their_own_columns():
+    # Each rank group spans only the columns its shift touches: as many as it
+    # has rows, none of them zero, and the same entries as the nonzero columns
+    # of the group built at the full model width.
+    for d in range(13):
+        monos = basis(SchurContext(d))
+        for rep in (tensor_rep(d), weight_rep(d)):
+            groups = list(oracle.shift_groups(monos, rep))
+            wide = _wide_groups(monos, rep)
+            assert len(groups) == len(wide) == 2 * d + 1
+            for g, w in zip(groups, wide):
+                assert g.shape[0] == g.shape[1], (d, rep.kind, g.shape)
+                assert g.any(axis=0).all(), (d, rep.kind)
+                assert np.array_equal(g, w[:, w.any(axis=0)]), (d, rep.kind)
+
+
+def test_rank_of_a_deficient_narrow_group(monkeypatch):
+    # One zeroed closed-form coefficient leaves its class column empty in the
+    # shift-0 group of the word model at d=4. The narrow group keeps that
+    # column, the certificate fails, and rank:tensor must FAIL with the rank
+    # that Bareiss gives on the groups built at full width.
+    d = 4
+    original = oracle._TensorRep._entries
+
+    def zeroed(self, a, c):
+        pos, h2, coef = original(self, a, c)
+        if (a, c) == (0, 0):
+            coef = coef.copy()
+            coef[0] = 0
+        return pos, h2, coef
+
+    schur2.clear_caches()
+    monkeypatch.setattr(oracle._TensorRep, "_entries", zeroed)
+    try:
+        monos = basis(SchurContext(d))
+        want = sum(matrices.bareiss_rank(w) for w in _wide_groups(monos, tensor_rep(d)))
+        assert want < dimension(d)
+        check = next(c for c in verify_suite(d, "tensor").checks if c.name == "rank:tensor")
+        assert (check.passed, check.detail) == (False, f"rank {want} vs dimension {dimension(d)}")
+    finally:
+        monkeypatch.undo()
+        schur2.clear_caches()
 
 
 def test_matrix_min_poly_frozen():
@@ -563,7 +631,9 @@ def test_products_match_rejects_other_shifts_with_equal_weight_probes():
     # probe vector (0, 1), so adding e - binom(H2,1) to the product 1 * 1
     # keeps its probe sum. Only the shift test rejects the row.
     table = structure_constants(SchurContext(1))
-    assert (rep := weight_rep(1)).probes([(0, 0, 0, 1)]).tolist() == rep.probes([(0, 0, 1, 0)]).tolist()
+    rep = weight_rep(1)
+    e_probe, h_probe = (_widen(rep, *rep.probes([key])) for key in ((0, 0, 0, 1), (0, 0, 1, 0)))
+    assert e_probe.tolist() == h_probe.tolist()
     table.products = dict(table.products)
     table.products[(0, 0)] += ((1, 1), (2, -1))
     for make in (tensor_rep, weight_rep):
@@ -604,6 +674,9 @@ def test_package_exports():
         assert name not in schur2.__all__
         for module in (schur2, algebra, elements):
             assert not hasattr(module, name), (module.__name__, name)
+    # Rank takes integer matrices only, so no integrality scan is left.
+    for name in ("is_integral", "_clear_denominators"):
+        assert not hasattr(matrices, name), name
 
 
 def test_verify_suite_builds_relations_once_and_no_dense_image(monkeypatch):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
+import schur2
 from schur2.qpoly import (
     pdivmod,
     peval,
@@ -89,3 +94,26 @@ def test_render():
     assert prender(_f(0, 0, -1)) == "-T^2"
     p = (Fraction(-2, 3), Fraction(0), Fraction(5, 7), Fraction(1))
     assert prender(p) == "T^3 + 5/7*T^2 - 2/3"
+
+
+def test_each_module_imports_first_without_the_package_init():
+    # The package __init__ imports algebra, and with it matrices and qpoly,
+    # before elements; that order once hid the cycle elements -> matrices ->
+    # qpoly -> elements. Under a bare package stub each module is imported
+    # first, so any cycle raises ImportError.
+    pkg = Path(schur2.__file__).resolve().parent
+    names = sorted(f.stem for f in pkg.glob("*.py") if f.stem != "__init__")
+    code = (
+        "import importlib, sys, types\n"
+        f"for name in {names!r}:\n"
+        "    for mod in [m for m in sys.modules if m.split('.')[0] == 'schur2']:\n"
+        "        del sys.modules[mod]\n"
+        "    stub = types.ModuleType('schur2')\n"
+        f"    stub.__path__ = [{str(pkg)!r}]\n"
+        "    sys.modules['schur2'] = stub\n"
+        "    importlib.import_module('schur2.' + name)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(pkg.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert {"elements", "exprs", "qpoly"} <= set(names)

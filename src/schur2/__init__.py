@@ -15,8 +15,6 @@ from .algebra import (
     dimension,
     expected_h_min_poly,
     expected_h_var_min_poly,
-    from_h_basis,
-    from_power_basis,
     min_poly,
     mul_bd,
     normalize,
@@ -28,14 +26,12 @@ from .algebra import (
 from .elements import (
     Element,
     Flavor,
-    commute_poly_left,
-    fdiv_merge,
     mul,
     render_element,
     substitute_offvar,
 )
 from .exprs import ParseError, lower, parse, parse_element
-from .ivpoly import IVPoly, binom
+from .ivpoly import binom
 from .oracle import (
     Rep,
     VerifyReport,
@@ -68,7 +64,6 @@ def clear_caches() -> None:
 __all__ = [
     "Element",
     "Flavor",
-    "IVPoly",
     "ParseError",
     "Rep",
     "SchurContext",
@@ -77,14 +72,10 @@ __all__ = [
     "basis",
     "binom",
     "clear_caches",
-    "commute_poly_left",
     "dimension",
     "eval_element",
     "expected_h_min_poly",
     "expected_h_var_min_poly",
-    "fdiv_merge",
-    "from_h_basis",
-    "from_power_basis",
     "lower",
     "min_poly",
     "mul",

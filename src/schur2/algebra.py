@@ -157,11 +157,13 @@ def _own_var_terms(x: Element, d: int) -> dict[Monomial, Scalar]:
     """x as {(a, b, c): coeff} in the flavor's own H; substitutes only if needed.
 
     Terms with a > d or c > d are dropped first: _reduce_table sends each to 0
-    (s > min(a, c)), and the kernel of U -> S(2,d) is an ideal, so neither
-    normalize nor a factor of mul_bd needs them.
+    (s > min(a, c)). So are terms with b1 + b2 > d: binom(H1,b1) binom(H2,b2)
+    vanishes on every weight (H1, H2) with H1 + H2 = d. The kernel of
+    U -> S(2,d) is an ideal, so neither normalize nor a factor of mul_bd
+    needs them.
     """
     off = 1 if x.flavor is Flavor.FHE else 2
-    terms = {key: q for key, q in x.terms.items() if key[0] <= d and key[3] <= d}
+    terms = {key: q for key, q in x.terms.items() if key[0] <= d and key[3] <= d and key[1] + key[2] <= d}
     x = Element._of_canonical(x.flavor, terms)
     if any(key[off] for key in terms):
         x = substitute_offvar(x, d)
@@ -453,12 +455,6 @@ def _binom_to_powers(b: int) -> tuple[Fraction, ...]:
     return tuple(c / factorial(b) for c in poly)
 
 
-@lru_cache(maxsize=None)
-def _power_to_binoms(m: int) -> tuple[int, ...]:
-    """H^m as integer coefficients over binom(H,0), binom(H,1), ..."""
-    return values_to_coeffs([j**m for j in range(m + 1)])
-
-
 def to_power_basis(x: Element, ctx: SchurContext) -> dict[Monomial, Fraction]:
     """Coefficients over the plain-power monomials f^a H^b e^c, a+b+c <= d.
 
@@ -472,17 +468,6 @@ def to_power_basis(x: Element, ctx: SchurContext) -> dict[Monomial, Fraction]:
         for m, cm in enumerate(_binom_to_powers(b)):
             out[(a, m, c)] = out.get((a, m, c), 0) + scale * cm
     return {key: v for key, v in out.items() if v}
-
-
-def from_power_basis(coeffs: dict[Monomial, Fraction | int], ctx: SchurContext) -> Element:
-    """Inverse of to_power_basis."""
-    terms: dict[tuple[int, int, int, int], Fraction] = {}
-    for (a, m, c), q in coeffs.items():
-        scale = Fraction(q) * factorial(a) * factorial(c)
-        for b, cb in enumerate(_power_to_binoms(m)):
-            key = _flavor_key(ctx.flavor, a, b, c)
-            terms[key] = terms.get(key, 0) + scale * cb
-    return normalize(Element(ctx.flavor, terms), ctx)
 
 
 def to_h_basis(x: Element, ctx: SchurContext) -> dict[Monomial, Fraction]:
@@ -500,19 +485,6 @@ def to_h_basis(x: Element, ctx: SchurContext) -> dict[Monomial, Fraction]:
             coef = q * comb(m, i) * d ** (m - i) * sign**i / Fraction(2**m)
             out[(a, i, c)] = out.get((a, i, c), 0) + coef
     return {key: v for key, v in out.items() if v}
-
-
-def from_h_basis(coeffs: dict[Monomial, Fraction | int], ctx: SchurContext) -> Element:
-    """Inverse of to_h_basis."""
-    d = ctx.d
-    sign = -1 if ctx.flavor is Flavor.FHE else 1
-    power: dict[Monomial, Fraction] = {}
-    for (a, i, c), q in coeffs.items():
-        # h^i = (sign*(2H - d))^i expanded in powers of H.
-        for t in range(i + 1):
-            coef = Fraction(q) * sign**i * comb(i, t) * 2**t * (-d) ** (i - t)
-            power[(a, t, c)] = power.get((a, t, c), 0) + coef
-    return from_power_basis({key: v for key, v in power.items() if v}, ctx)
 
 
 # -- minimal polynomials ----------------------------------------------------

@@ -54,7 +54,6 @@ import numpy as np
 
 from . import matrices
 from .ivpoly import (
-    IVPoly,
     binom,
     binom_complement_coeffs,
     binom_product_coeffs,
@@ -104,19 +103,6 @@ def _as_scalar(q: Scalar) -> Scalar:
     if isinstance(q, Fraction):
         return int(q) if q.denominator == 1 else q
     return q
-
-
-def fdiv_merge(i: int, j: int) -> tuple[int, int]:
-    """Divided-power recombination T^(i) T^(j) = binom(i+j,i) T^(i+j)."""
-    return binom(i + j, i), i + j
-
-
-def commute_poly_left(g: str, p: IVPoly) -> IVPoly:
-    """The polynomial Q with g * P(H) = Q(H) * g, for g one of e, f."""
-    s = {("e", "H1"): -1, ("e", "H2"): 1, ("f", "H1"): 1, ("f", "H2"): -1}[
-        (g, p.var)
-    ]
-    return p.shift(s)
 
 
 class Element:

@@ -95,6 +95,9 @@ Node = Sum | Neg | Prod | Pow | ScalarLit | Gen | DividedPower | HBinom
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*^/(),])")
 
+# Each open parenthesis costs a few stack frames in the parser and in lower.
+MAX_NESTING = 100
+
 _ATOM_EXPECTED = ("e", "f", "h", "H1", "H2", "E(", "F(", "binom(", "NAT", "(")
 
 
@@ -114,6 +117,7 @@ class _Parser:
             self.tokens.append((kind, m.group(), pos))
             pos = m.end()
         self.i = 0
+        self.depth = 0  # open parentheses around the current position
 
     def _peek(self) -> tuple[str, str, int]:
         if self.i < len(self.tokens):
@@ -213,8 +217,12 @@ class _Parser:
                 return HBinom(vname, index)
             raise ParseError(f"unknown name {value!r}", offset, _ATOM_EXPECTED)
         if kind == "OP" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", offset)
+            self.depth += 1
             node = self.expr()
             self._expect_op(")")
+            self.depth -= 1
             return node
         raise ParseError(
             f"unexpected {value or 'end of input'!r}", offset, _ATOM_EXPECTED
@@ -228,12 +236,19 @@ def parse(text: str) -> Node:
 
 def lower(node: Node, flavor: Flavor = Flavor.FHE) -> Element:
     """Evaluate a syntax tree to an element in the chosen normal order."""
-    if isinstance(node, Sum):
-        return lower(node.left, flavor) + lower(node.right, flavor)
+    if isinstance(node, (Sum, Prod)):
+        # The parser builds left-deep chains; fold them in a loop, left to right.
+        chain = type(node)
+        rights = []
+        while isinstance(node, chain):
+            rights.append(node.right)
+            node = node.left
+        acc = lower(node, flavor)
+        for right in reversed(rights):
+            acc = acc + lower(right, flavor) if chain is Sum else mul(acc, lower(right, flavor))
+        return acc
     if isinstance(node, Neg):
         return -lower(node.child, flavor)
-    if isinstance(node, Prod):
-        return mul(lower(node.left, flavor), lower(node.right, flavor))
     if isinstance(node, Pow):
         if isinstance(node.base, Gen) and node.base.name in ("e", "f"):
             # Plain power of a lowering/raising generator: e^m = m! E(m).

@@ -74,13 +74,6 @@ def plcm(p: Poly, q: Poly) -> Poly:
     return pmonic(pdivmod(pmul(p, q), g)[0])
 
 
-def peval(p: Poly, x: Fraction | int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def pfrom_roots(roots: Sequence[int]) -> Poly:
     """prod (T - r) over the integer roots, expanded on ints and converted once."""
     out = [1]

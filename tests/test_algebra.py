@@ -17,8 +17,6 @@ from schur2.algebra import (
     dimension,
     expected_h_min_poly,
     expected_h_var_min_poly,
-    from_h_basis,
-    from_power_basis,
     min_poly,
     mul_bd,
     normalize,
@@ -29,7 +27,7 @@ from schur2.algebra import (
     to_power_basis,
 )
 from schur2.elements import Element, Flavor, mul, substitute_offvar
-from schur2.exprs import parse_element
+from schur2.exprs import parse_element, render_plain_terms
 from schur2.oracle import eval_element, weight_rep
 from schur2.qpoly import pfrom_roots, pmul, ptrim
 
@@ -103,6 +101,27 @@ def test_normalize_drops_terms_beyond_d_before_substitution(monkeypatch):
         assert normalize(big + small, ctx) == normalize(small, ctx) != Element.zero(flavor)
     assert seen
     assert all(a <= 3 and c <= 3 for x in seen for a, _, _, c in x.terms)
+
+
+def test_normalize_drops_vanishing_cartan_parts(monkeypatch):
+    # binom(H1,b1) binom(H2,b2) vanishes on every weight of S(2,d) once
+    # b1 + b2 > d, so normalize and both factors of mul_bd drop such a term
+    # before collapsing the off-flavor variable.
+    calls = []
+
+    def recorded(x, d):
+        calls.append(x)
+        return substitute_offvar(x, d)
+
+    monkeypatch.setattr(algebra, "substitute_offvar", recorded)
+    for flavor in Flavor:
+        ctx = SchurContext(3, flavor)
+        right = flavor.letters[1]
+        x = parse_element(f"binom(H1,2)*binom(H2,2)*{right}", flavor)
+        assert list(x.terms) == [(0, 2, 2, 1)]
+        assert normalize(x, ctx).is_zero()
+        assert mul_bd(x, x, ctx).is_zero()
+    assert not calls
 
 
 def test_normalize_frozen_cases():
@@ -385,8 +404,8 @@ def test_power_basis_round_trip():
     ctx = SchurContext(3)
     for _ in range(25):
         x = normalize(_random_element(rng, Flavor.FHE), ctx)
-        coeffs = to_power_basis(x, ctx)
-        assert from_power_basis(coeffs, ctx) == x
+        text = render_plain_terms(to_power_basis(x, ctx), Flavor.FHE, "H2")
+        assert normalize(parse_element(text), ctx) == x
 
 
 def test_to_h_basis_frozen():
@@ -403,8 +422,8 @@ def test_h_basis_round_trip():
         ctx = SchurContext(2, flavor)
         for _ in range(20):
             x = normalize(_random_element(rng, flavor), ctx)
-            coeffs = to_h_basis(x, ctx)
-            assert from_h_basis(coeffs, ctx) == x
+            text = render_plain_terms(to_h_basis(x, ctx), flavor, "h")
+            assert normalize(parse_element(text, flavor), ctx) == x
 
 
 def test_min_poly_frozen():
@@ -604,8 +623,11 @@ def test_quotient_map_check(monkeypatch):
     monkeypatch.undo()
 
     # Without the truncation the product survives, so the check is not vacuous.
+    # _own_var_terms drops binom(H,b) with b > d, which on its own is the
+    # truncation relation in one H, so the factors keep every term here too.
     clear_caches()
     monkeypatch.setattr(algebra, "_reduce_table", lambda d, a, b, c: (((a, b, c), 1),))
+    monkeypatch.setattr(algebra, "_own_var_terms", lambda x, d: substitute_offvar(x, d).single_var_terms())
     try:
         for d in (0, 1, 4):
             assert not quotient_map_check(SchurContext(d))

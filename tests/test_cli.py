@@ -364,6 +364,17 @@ def test_parse_error_exit_code(capsys):
     )
 
 
+def test_long_and_deeply_nested_input(capsys):
+    code, out, err = _run(capsys, "normalize", "--d", "2", "+".join(["e"] * 5000))
+    assert (code, out, err) == (0, "5000*E(1)\n", "")
+    code, out, err = _run(capsys, "normalize", "--d", "2", "*".join(["2", "1/2"] * 2500))
+    assert (code, out, err) == (0, "1\n", "")
+    # Too-deep nesting is a parse error: exit 2 and one line, no traceback.
+    code, out, err = _run(capsys, "normalize", "--d", "2", "(" * 1000 + "e" + ")" * 1000)
+    assert (code, out) == (2, "")
+    assert err == "error: parentheses nested deeper than 100 at offset 100\n"
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = _run(capsys, "dim", "--d", "-1")
     assert code == 2

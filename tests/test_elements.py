@@ -3,8 +3,8 @@
 The heavyweight check here re-derives products of monomials by peeling one
 plain right letter at a time across the left block, using nothing but the
 one-step commutation rule e f^(a) = f^(a) e + f^(a-1) (H1 - H2 - a + 1) (or
-its mirror image) together with polynomial shifts, and compares against the
-closed-form straightening product.
+its mirror image) together with polynomial shifts on binomial-coefficient
+tuples, and compares against the closed-form straightening product.
 """
 
 from __future__ import annotations
@@ -18,55 +18,64 @@ from fractions import Fraction
 import pytest
 
 from schur2 import elements
-from schur2.elements import (
-    Element,
-    Flavor,
-    commute_poly_left,
-    fdiv_merge,
-    mul,
-    render_element,
-    substitute_offvar,
-)
-from schur2.ivpoly import IVPoly
+from schur2.elements import Element, Flavor, mul, render_element, substitute_offvar
+from schur2.ivpoly import binom, binom_product_coeffs
+
+# g P(H1, H2) = P(H1 + s1, H2 + s2) g for the letter g; (s1, s2) by letter.
+_SHIFTS = {"e": (-1, 1), "f": (1, -1)}
 
 
-def test_fdiv_merge_examples():
-    assert fdiv_merge(2, 3) == (10, 5)
-    assert fdiv_merge(0, 4) == (1, 4)
-    assert fdiv_merge(1, 1) == (2, 2)
-    assert fdiv_merge(3, 3) == (20, 6)
-
-
-def test_fdiv_merge_matches_factorials():
+def test_mul_merges_divided_powers():
+    # T^(i) T^(j) = binom(i+j, i) T^(i+j) for either letter, in both flavors.
     rng = random.Random(47)
+    pairs = [(2, 3, 10), (0, 4, 1), (1, 1, 2), (3, 3, 20)]
     for _ in range(100):
-        i = rng.randint(0, 8)
-        j = rng.randint(0, 8)
-        coef, total = fdiv_merge(i, j)
-        assert total == i + j
-        assert coef == math.factorial(i + j) // (math.factorial(i) * math.factorial(j))
+        i, j = rng.randint(0, 8), rng.randint(0, 8)
+        pairs.append((i, j, math.factorial(i + j) // (math.factorial(i) * math.factorial(j))))
+    for i, j, coef in pairs:
+        for flavor in (Flavor.FHE, Flavor.EHF):
+            for letter in ("e", "f"):
+                x, y = (Element.divided_power(letter, k, flavor) for k in (i, j))
+                assert mul(x, y) == Element.divided_power(letter, i + j, flavor).scale(coef)
 
 
-def test_commute_poly_left_shifts():
-    b1_h2 = IVPoly.single(1, "H2")
-    assert commute_poly_left("e", b1_h2).coeffs == (1, 1)  # e binom(H2,1) = (binom(H2,1)+1) e
-    assert commute_poly_left("f", b1_h2).coeffs == (-1, 1)
-    b1_h1 = IVPoly.single(1, "H1")
-    assert commute_poly_left("e", b1_h1).coeffs == (-1, 1)
-    assert commute_poly_left("f", b1_h1).coeffs == (1, 1)
-    const = IVPoly.constant(5, "H1")
-    assert commute_poly_left("e", const) == const
+def _poly_element(var: str, coeffs, flavor: Flavor) -> Element:
+    """P = sum coeffs[b] binom(var, b) as an element."""
+    return Element(flavor, {(0, b, 0, 0) if var == "H1" else (0, 0, b, 0): q for b, q in enumerate(coeffs)})
 
 
-def test_commute_poly_left_pointwise():
+def test_mul_moves_polynomials_past_letters():
+    # e binom(H2,1) = (binom(H2,1) + 1) e and binom(H1,1) f = f (binom(H1,1) - 1).
+    e, f = Element.generator("e"), Element.generator("f")
+    assert mul(e, Element.h_binomial("H2", 1)).terms == {(0, 0, 1, 1): 1, (0, 0, 0, 1): 1}
+    assert mul(Element.h_binomial("H1", 1), f).terms == {(1, 1, 0, 0): 1, (1, 0, 0, 0): -1}
+    # R P(H) = P(H + s) R for the right letter R, and P(H) L = L P(H - s) for
+    # the left letter L, checked pointwise on a grid in H1 and H2.
     rng = random.Random(53)
     for _ in range(50):
         var = rng.choice(["H1", "H2"])
-        p = IVPoly(var, tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 5))))
-        for g, shift in (("e", -1 if var == "H1" else 1), ("f", 1 if var == "H1" else -1)):
-            q = commute_poly_left(g, p)
-            for n in range(-3, 8):
-                assert q(n) == p(n + shift)
+        coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
+        for flavor in (Flavor.FHE, Flavor.EHF):
+            left, right = flavor.letters
+            p = _poly_element(var, coeffs, flavor)
+            for out, key, letter, sign in (
+                (mul(Element.divided_power(right, 1, flavor), p), (0, 1), right, 1),
+                (mul(p, Element.divided_power(left, 1, flavor)), (1, 0), left, -1),
+            ):
+                shift = sign * _SHIFTS[letter][var == "H2"]
+                for n1 in range(-3, 8):
+                    for n2 in range(-3, 8):
+                        n = n1 if var == "H1" else n2
+                        want = sum(q * binom(n + shift, b) for b, q in enumerate(coeffs))
+                        assert _eval_middle_at(out, n1, n2) == ({key: want} if want else {})
+
+
+def _eval_middle_at(x: Element, n1: int, n2: int) -> dict[tuple[int, int], Fraction]:
+    """Every term's middle at H1 = n1, H2 = n2, summed by (a, c); zeros dropped."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (a, b1, b2, c), q in x.terms.items():
+        out[(a, c)] = out.get((a, c), 0) + q * binom(n1, b1) * binom(n2, b2)
+    return {key: v for key, v in out.items() if v}
 
 
 def test_commute_e_past_fdiv_small():
@@ -166,30 +175,47 @@ def test_mul_pair_cache_matches_per_term_body():
     )
 
 
-def _moved_right(g: str, p: IVPoly) -> IVPoly:
-    """The polynomial Q with P * g = g * Q: commute_poly_left run backwards."""
-    return p.shift(-commute_poly_left(g, IVPoly.single(1, p.var)).coeffs[0])
+def _trim(p: list[int]) -> tuple[int, ...]:
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
 
 
-def _times(m1: IVPoly, m2: IVPoly, p: IVPoly) -> tuple[IVPoly, IVPoly]:
-    """The middle m1(H1) m2(H2) times p, a polynomial in one of H1, H2."""
-    return (m1 * p, m2) if p.var == "H1" else (m1, m2 * p)
+def _shift(p: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """P(H+s), by Chu-Vandermonde: binom(H+s,b) = sum_j binom(s,b-j) binom(H,j)."""
+    out = [0] * len(p)
+    for b, c in enumerate(p):
+        for j in range(b + 1):
+            out[j] += c * binom(s, b - j)
+    return _trim(out)
+
+
+def _times(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """P*Q over the binomial basis, through binom_product_coeffs."""
+    out = [0] * (len(p) + len(q))
+    for i, ci in enumerate(p):
+        for j, cj in enumerate(q):
+            for k, ck in enumerate(binom_product_coeffs(i, j)):
+                out[k] += ci * cj * ck
+    return _trim(out)
 
 
 def _peel_mul(x: Element, y: Element) -> Element:
     """x*y rebuilt from the one-step rule, bypassing the pair products of mul.
 
-    A state term q * L^(a) m1(H1) m2(H2) R^(c) is keyed (a, m1, m2, c). For
-    each term L^(a) P R^(c) of x, y is multiplied on the left by c plain right
-    letters R, each through
+    A state term q * L^(a) m1(H1) m2(H2) R^(c) is keyed (a, m1, m2, c), with m1
+    and m2 coefficient tuples over binom(H1, .) and binom(H2, .). For each term
+    L^(a) P R^(c) of x, y is multiplied on the left by c plain right letters
+    R, each through
         R L^(a) = L^(a) R + L^(a-1) (D - a + 1),  D = H1 - H2 (FHE), H2 - H1 (EHF),
-    commute_poly_left (R through the middle) and fdiv_merge (R into R^(c)),
-    and divided by c!; then by P, moved right past the left letters; then by
-    L^(a) through fdiv_merge.
+    a shift of the middle (R through it) and R R^(c) = (c+1) R^(c+1), and
+    divided by c!; then by P, moved right past the left letters; then by
+    L^(a), with L^(a) L^(a2) = comb(a+a2, a) L^(a+a2).
     """
     flavor = x.flavor
     left, right = flavor.letters
-    up, down = ("H1", "H2") if flavor is Flavor.FHE else ("H2", "H1")
+    (r1, r2), (l1, l2) = _SHIFTS[right], _SHIFTS[left]
+    one, var = (1,), (0, 1)  # the polynomials 1 and binom(H, 1)
     terms: dict[tuple[int, int, int, int], Fraction] = {}
 
     def add(dst, key, q):
@@ -198,26 +224,27 @@ def _peel_mul(x: Element, y: Element) -> Element:
     for (a, b1, b2, c), qx in x.terms.items():
         state = {}
         for (a2, p1, p2, c2), qy in y.terms.items():
-            add(state, (a2, IVPoly.single(p1, "H1"), IVPoly.single(p2, "H2"), c2), Fraction(qx * qy))
+            add(state, (a2, (0,) * p1 + one, (0,) * p2 + one, c2), Fraction(qx * qy))
         for _ in range(c):
             nxt = {}
             for (a2, m1, m2, c2), q in state.items():
-                coef, c_new = fdiv_merge(1, c2)
-                add(nxt, (a2, commute_poly_left(right, m1), commute_poly_left(right, m2), c_new), q * coef)
+                add(nxt, (a2, _shift(m1, r1), _shift(m2, r2), c2 + 1), q * math.comb(c2 + 1, 1))
                 if a2 >= 1:
-                    lin = IVPoly.single(1, up) + IVPoly.constant(1 - a2, up)
-                    add(nxt, (a2 - 1, *_times(m1, m2, lin), c2), q)
-                    add(nxt, (a2 - 1, *_times(m1, m2, IVPoly.single(1, down)), c2), -q)
+                    # D - a2 + 1 = binom(up,1) + (1 - a2) - binom(down,1).
+                    lin = (1 - a2, 1)
+                    up, down = (_times(m1, lin), m2), (m1, _times(m2, var))
+                    if flavor is Flavor.EHF:
+                        up, down = (m1, _times(m2, lin)), (_times(m1, var), m2)
+                    add(nxt, (a2 - 1, *up, c2), q)
+                    add(nxt, (a2 - 1, *down, c2), -q)
             state = nxt
         for (a2, m1, m2, c2), q in state.items():
-            P1, P2 = IVPoly.single(b1, "H1"), IVPoly.single(b2, "H2")
-            for _ in range(a2):
-                P1, P2 = _moved_right(left, P1), _moved_right(left, P2)
-            coef, total = fdiv_merge(a, a2)
-            q = q * coef / math.factorial(c)
-            for i, ci in enumerate((P1 * m1).coeffs):
-                for j, cj in enumerate((P2 * m2).coeffs):
-                    add(terms, (total, i, j, c2), q * ci * cj)
+            p1, p2 = (0,) * b1 + one, (0,) * b2 + one
+            p1, p2 = _shift(p1, -a2 * l1), _shift(p2, -a2 * l2)
+            q = q * math.comb(a + a2, a) / math.factorial(c)
+            for i, ci in enumerate(_times(p1, m1)):
+                for j, cj in enumerate(_times(p2, m2)):
+                    add(terms, (a + a2, i, j, c2), q * ci * cj)
     return Element(flavor, terms)
 
 

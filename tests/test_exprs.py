@@ -9,6 +9,7 @@ import pytest
 
 from schur2.elements import Element, Flavor, mul, render_element
 from schur2.exprs import (
+    MAX_NESTING,
     DividedPower,
     Gen,
     HBinom,
@@ -94,6 +95,27 @@ def test_parse_error_end_of_input():
     assert err.offset == 2
     assert "end of input" in str(err)
     assert "binom(" in err.expected
+
+
+def test_long_chains_lower_in_order():
+    # Sums and products are folded in a loop, so their length costs no stack.
+    assert parse_element("+".join(["e"] * 5000)) == Element.generator("e").scale(5000)
+    assert parse_element("*".join(["2", "1/2"] * 2500)) == Element.one()
+    # The fold keeps the left-to-right order of the factors.
+    e, f, h = (Element.generator(name) for name in "efh")
+    assert parse_element("e*f*h*e - f") == mul(mul(mul(e, f), h), e) - f
+
+
+def test_parse_error_nesting_too_deep():
+    # The deepest nesting allowed lowers, with every kind of node at each level.
+    text = "e"
+    for _ in range(MAX_NESTING):
+        text = f"-({text})^1*e + e"
+    assert parse_element(text).degree() == MAX_NESTING + 1
+    with pytest.raises(ParseError) as info:
+        parse("(" * (MAX_NESTING + 1) + "e" + ")" * (MAX_NESTING + 1))
+    assert info.value.offset == MAX_NESTING
+    assert "nested deeper" in str(info.value)
 
 
 def test_parse_error_trailing_garbage():

@@ -22,8 +22,10 @@ import pytest
 import schur2
 import schur2.algebra as algebra
 import schur2.elements as elements
+import schur2.ivpoly as ivpoly
 import schur2.matrices as matrices
 import schur2.oracle as oracle
+import schur2.qpoly as qpoly
 from schur2.algebra import (
     SchurContext,
     StructureTable,
@@ -677,6 +679,14 @@ def test_package_exports():
     # Rank takes integer matrices only, so no integrality scan is left.
     for name in ("is_integral", "_clear_denominators"):
         assert not hasattr(matrices, name), name
+    # A polynomial in one H is a binomial-coefficient tuple, products go
+    # through Kostant's formula, and the power and h-basis printers are
+    # inverted by re-parsing their output.
+    retired = ("IVPoly", "commute_poly_left", "fdiv_merge", "from_power_basis", "from_h_basis")
+    assert not set(retired) & set(schur2.__all__)
+    for name in (*retired, "binom_shift_coeffs", "peval", "_power_to_binoms"):
+        for module in (schur2, algebra, elements, ivpoly, qpoly):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_verify_suite_builds_relations_once_and_no_dense_image(monkeypatch):

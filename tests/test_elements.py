@@ -25,18 +25,28 @@ from schur2.ivpoly import binom, binom_product_coeffs
 _SHIFTS = {"e": (-1, 1), "f": (1, -1)}
 
 
-def test_mul_merges_divided_powers():
-    # T^(i) T^(j) = binom(i+j, i) T^(i+j) for either letter, in both flavors.
+# The divided-power merge and the polynomial shift past a letter have no
+# helper of their own; both are checked on the products mul builds.
+
+
+def _merge_holds(i: int, j: int, coef: int) -> None:
+    """T^(i) T^(j) = coef T^(i+j) for either letter, in both flavors."""
+    for flavor in (Flavor.FHE, Flavor.EHF):
+        for letter in ("e", "f"):
+            x, y = (Element.divided_power(letter, k, flavor) for k in (i, j))
+            assert mul(x, y) == Element.divided_power(letter, i + j, flavor).scale(coef)
+
+
+def test_fdiv_merge_examples():
+    for i, j, coef in ((2, 3, 10), (0, 4, 1), (1, 1, 2), (3, 3, 20)):
+        _merge_holds(i, j, coef)
+
+
+def test_fdiv_merge_matches_factorials():
     rng = random.Random(47)
-    pairs = [(2, 3, 10), (0, 4, 1), (1, 1, 2), (3, 3, 20)]
     for _ in range(100):
         i, j = rng.randint(0, 8), rng.randint(0, 8)
-        pairs.append((i, j, math.factorial(i + j) // (math.factorial(i) * math.factorial(j))))
-    for i, j, coef in pairs:
-        for flavor in (Flavor.FHE, Flavor.EHF):
-            for letter in ("e", "f"):
-                x, y = (Element.divided_power(letter, k, flavor) for k in (i, j))
-                assert mul(x, y) == Element.divided_power(letter, i + j, flavor).scale(coef)
+        _merge_holds(i, j, math.factorial(i + j) // (math.factorial(i) * math.factorial(j)))
 
 
 def _poly_element(var: str, coeffs, flavor: Flavor) -> Element:
@@ -44,11 +54,17 @@ def _poly_element(var: str, coeffs, flavor: Flavor) -> Element:
     return Element(flavor, {(0, b, 0, 0) if var == "H1" else (0, 0, b, 0): q for b, q in enumerate(coeffs)})
 
 
-def test_mul_moves_polynomials_past_letters():
+def test_commute_poly_left_shifts():
     # e binom(H2,1) = (binom(H2,1) + 1) e and binom(H1,1) f = f (binom(H1,1) - 1).
     e, f = Element.generator("e"), Element.generator("f")
     assert mul(e, Element.h_binomial("H2", 1)).terms == {(0, 0, 1, 1): 1, (0, 0, 0, 1): 1}
     assert mul(Element.h_binomial("H1", 1), f).terms == {(1, 1, 0, 0): 1, (1, 0, 0, 0): -1}
+    # A constant passes a letter unchanged.
+    five = Element.h_binomial("H1", 0).scale(5)
+    assert mul(e, five) == mul(five, e) == e.scale(5)
+
+
+def test_commute_poly_left_pointwise():
     # R P(H) = P(H + s) R for the right letter R, and P(H) L = L P(H - s) for
     # the left letter L, checked pointwise on a grid in H1 and H2.
     rng = random.Random(53)

@@ -501,12 +501,13 @@ def _region(d: int, has_a: bool, has_c: bool) -> list[Monomial]:
 
 
 @lru_cache(maxsize=64)
-def _right_rows(d: int, y: Monomial, has_a: bool, has_c: bool) -> tuple[np.ndarray, ...]:
-    """(row, col, val) of every nonzero entry of m*y, for m over _region(d, has_a, has_c).
+def _right_rows(d: int, y: Monomial, has_a: bool, has_c: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(row, col, val) of every nonzero entry of m*y, for m over _region(d, has_a, has_c), and a norm.
 
     Rows and columns are indices into the region: a product of two of its
     monomials stays in it, since without f^(a) (e^(c)) on either side no
-    collision term or reduction creates one.
+    collision term or reduction creates one. The norm is the largest column
+    sum of |val|, which bounds every eigenvalue of right multiplication by y.
 
     The cache keeps 64 entries of 24 bytes per nonzero (int64; object arrays
     hold Python ints instead). Over the whole basis the largest entry is
@@ -516,30 +517,33 @@ def _right_rows(d: int, y: Monomial, has_a: bool, has_c: bool) -> tuple[np.ndarr
     region = _region(d, has_a, has_c)
     index = {mono: k for k, mono in enumerate(region)}
     rows, cols, vals = [], [], []
+    sums = [0] * len(region)
     for i, mono in enumerate(region):
         out: dict[Monomial, Scalar] = {}
         _add_product(out, d, 1, mono, y)
         for m, q in out.items():
             if q:
+                j = index[m]
                 rows.append(i)
-                cols.append(index[m])
+                cols.append(j)
                 vals.append(q)
+                sums[j] += abs(q)
     entry = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), _int_array(vals)
     for a in entry:
         a.flags.writeable = False  # cached: every later caller gets these arrays
-    return entry
+    return *entry, max(sums)
 
 
-def _krylov(parts: list[tuple[tuple[np.ndarray, ...], int]], size: int) -> Iterator[np.ndarray]:
+def _krylov(parts: list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int], int]], size: int) -> Iterator[np.ndarray]:
     """1, z, z^2, ... as integer arrays over a region, z = sum q * y_j.
 
-    parts holds (rows of y_j, q) with integer q. Their entries, scaled by q,
+    parts holds (_right_rows of y_j, q) with integer q. Their entries, scaled by q,
     make one matrices.RightAction, so each power is one apply_right step (an
     entry shared by several y_j is summed there too): in int64 while
     int64_safe bounds it, and on Python ints from the first step it does not.
     """
     rows, cols, vals = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
-    for (r, c, v), q in parts:
+    for (r, c, v, _), q in parts:
         if v.dtype == object or not matrices.int64_safe(1, int(np.abs(v).max(initial=0)), abs(q)):
             v = v.astype(object)
         rows.append(r)
@@ -568,18 +572,21 @@ def min_poly(x: Element, ctx: SchurContext) -> Poly:
     region, one set per Kostant monomial y_j of y, are built once by
     _add_product and kept in the process-wide cache of _right_rows, so a later
     call with the same d and support builds none. The powers run on arrays
-    (_krylov) and matrices.first_dependency finds their first dependency.
+    (_krylov) and are drawn only as far as matrices.krylov_min_poly needs
+    them: a prime finds K and K pivot coordinates, p-adic lifting gives the
+    integer coefficients of p_z, and an exact check on every coordinate of
+    the powers certifies them. rho, the sum of |q_j| times the norms of the
+    y_j's rows, bounds every eigenvalue of z and so caps the lifting.
     """
     d = ctx.d
     ys = normalize(x, ctx).single_var_terms()
     den = lcm(*(Fraction(q).denominator for q in ys.values()))
     has_a, has_c = any(a for a, _, _ in ys), any(c for _, _, c in ys)
     parts = [(_right_rows(d, y, has_a, has_c), int(q * den)) for y, q in ys.items()]
-    size = len(_region(d, has_a, has_c))
-    powers = _krylov(parts, size)
-    combo = matrices.first_dependency(map(matrices.sparse_vector, powers), size)
+    rho = sum(abs(q) * rows[3] for rows, q in parts)
+    combo = matrices.krylov_min_poly(_krylov(parts, len(_region(d, has_a, has_c))), rho)
     top = len(combo) - 1
-    return tuple(c / den ** (top - k) for k, c in enumerate(combo))
+    return tuple(Fraction(c, den ** (top - k)) for k, c in enumerate(combo))
 
 
 def expected_h_var_min_poly(d: int) -> Poly:

@@ -29,8 +29,22 @@ from .exprs import parse_element, render_plain_terms
 from .qpoly import prender
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser for which an expression may begin with a minus sign.
+
+    A word that begins with a single "-" is an option only when it is one of
+    the parser's own option strings, such as -h; "-e" or "-5/7*h^2" is an
+    argument. "--" still ends the options.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="schur2",
         description="Exact computations in the rank-two Schur algebra S(2,d).",
     )

@@ -6,7 +6,8 @@ Arithmetic on the entries themselves runs in int64 only in
 `oracle.ProductCheck` and in `apply_right` (the integer steps of the symbolic
 engine's Krylov sequences and linear-form products), and only when
 `int64_safe` proves from a priori bounds that no overflow can occur; the rank
-certificate below works in int64 on residues mod p.
+certificate and the modular minimal polynomial below work in int64 on
+residues mod p.
 
 Rank is exact, and `exact_rank` takes integer matrices only: int64, or Python
 ints in an object array. For m rows it first tries to certify full row rank
@@ -21,17 +22,33 @@ vanishes mod p only makes the certificate fail.
 When it fails, fraction-free (Bareiss) elimination on the exact integers
 decides.
 
-Minimal polynomials come from Krylov sequences: the lcm of the relative
-minimal polynomials of standard basis vectors, skipping seeds the current
-candidate already annihilates. The loop terminates with a polynomial that
-kills every basis vector, hence the matrix, and divides the true minimal
-polynomial throughout, so the result is exact and certified by construction.
-The arithmetic is exact and sparse: the matrix is read once into its nonzero
-columns, vectors are {index: value} dicts of Python ints and Fractions, and
-the cost follows the nonzero entries, not the size of the coefficients. The
-dependency search itself runs on integers: rows keep their integer pivots,
-each reduction divides out the content gcd, and one monic division at the end
-is the only Fraction step.
+The minimal polynomial of a matrix comes from Krylov sequences: the lcm of
+the relative minimal polynomials of standard basis vectors, skipping seeds
+the current candidate already annihilates. The loop terminates with a
+polynomial that kills every basis vector, hence the matrix, and divides the
+true minimal polynomial throughout, so the result is exact and certified by
+construction. The arithmetic is exact and sparse: the matrix is read once
+into its nonzero columns, vectors are {index: value} dicts of Python ints and
+Fractions, and the cost follows the nonzero entries, not the size of the
+coefficients. The dependency search itself (first_dependency) runs on
+integers: rows keep their integer pivots, each reduction divides out the
+content gcd, and one monic division at the end is the only Fraction step.
+
+The symbolic engine's minimal polynomial (krylov_min_poly) is modular and
+certified instead. Its sequence v, vM, vM^2, ... comes from an integer
+matrix M, so the first dependency is monic in Z[T], and its coefficients are
+bounded by the eigenvalues of M. A prime p < 2^26 finds the degree K and K
+pivot coordinates: each power is reduced mod p against a reduced row-echelon
+stack, one int64 dot product of K residues per coordinate, and the first
+power that vanishes ends the search. K powers independent mod p are
+independent over Q, so K is never above the true degree. Balanced p-adic
+(Dixon) lifting then solves the K x K pivot system for integers: each stack
+row carries its combination of the powers, which inverts the system mod p,
+and each digit costs one exact K x K mat-vec. An
+exact check of the relation on every coordinate of the powers certifies the
+answer. A prime whose check fails, or whose lifting outruns the coefficient
+bound, gives way to the next, and when none is left the result is an
+ArithmeticError, never an unchecked polynomial.
 """
 
 from __future__ import annotations
@@ -39,7 +56,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,6 +64,9 @@ from .qpoly import Poly, plcm, pmonic, ptrim
 
 _INT64_SAFE = 2**62
 _CERT_PRIME = 2**31 - 1
+# The largest primes below 2^26, tried in turn by krylov_min_poly. A dot
+# product of K residues stays in one int64 step up to K = 1024 (_dot_mod).
+_PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763, 67108757, 67108753, 67108747)
 
 
 def int64_safe(n: int, max_a: int, max_b: int) -> bool:
@@ -221,10 +241,110 @@ def first_dependency(vectors: Iterable[dict[int, int | Fraction]], dim: int) -> 
     raise ValueError("sequence ended before a linear dependency")
 
 
-def sparse_vector(v: np.ndarray) -> dict[int, int]:
-    """An integer array as {index: value} over its nonzero entries, for first_dependency."""
-    nz = np.flatnonzero(v)
-    return dict(zip(nz.tolist(), v[nz].tolist()))
+def _residues(v: np.ndarray, p: int) -> np.ndarray:
+    """An integer array (int64 or Python ints) mod p, as int64 in [0, p)."""
+    return (v % p).astype(np.int64, copy=False)
+
+
+def _dot_mod(u: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
+    """u @ m mod p for residues in [0, p): in int64, split in halves until int64_safe bounds each part."""
+    if int64_safe(len(u), p, p):
+        return u @ m % p
+    half = len(u) // 2
+    return (_dot_mod(u[:half], m[:half], p) + _dot_mod(u[half:], m[half:], p)) % p
+
+
+def _modp_pivots(drawn: list[np.ndarray], powers: Iterator[np.ndarray], p: int) -> tuple[list[int], np.ndarray]:
+    """Pivot coordinates of v_0, ..., v_{K-1}, the longest prefix independent mod p, and a K x K matrix T.
+
+    drawn caches the powers already taken from the iterator; it is extended
+    up to v_K, the first power in the span of the earlier ones mod p. Row i
+    of stack is [w_i | t_i], where w_i = sum_k t_ik v_k mod p is in reduced
+    row-echelon form: a power r reduces in one dot product, r - r[pivots] @
+    stack. As w_i is 1 at pivot i and 0 at the others, T = (t_ik) inverts
+    the pivot system A_ik = v_k[pivot_i] mod p: A^-1 = T^t.
+    """
+    pivots: list[int] = []
+    while True:
+        k = len(pivots)
+        if k == len(drawn):
+            drawn.append(next(powers))
+        r = _residues(drawn[k], p)
+        if not k:
+            n = len(r)
+            stack = np.zeros((0, n + 1), dtype=np.int64)
+        # [v_k | e_k]: stack keeps one zero column for the e_k of the next power.
+        r = (np.concatenate((r, np.zeros(k, dtype=np.int64), [1])) - _dot_mod(r[pivots], stack, p)) % p
+        nonzero = r[:n].nonzero()[0]
+        if not nonzero.size:
+            return pivots, stack[:, n:-1]
+        c = int(nonzero[0])
+        r = r * pow(int(r[c]), -1, p) % p
+        grown = np.zeros((k + 1, n + k + 2), dtype=np.int64)
+        grown[:k, :-1] = (stack - stack[:, c, None] * r) % p
+        grown[k, :-1] = r
+        stack = grown
+        pivots.append(c)
+
+
+def _lift(a: np.ndarray, b: np.ndarray, t: np.ndarray, p: int, digits: int) -> np.ndarray | None:
+    """The integer x with a @ x = b by balanced p-adic (Dixon) lifting, or None past `digits` digits.
+
+    a and b hold Python ints, and a^-1 = t^t mod p. Each digit is a^-1 r =
+    r @ t mod p, taken in (-p/2, p/2), and the residual r = (r - a @ digit)
+    / p is an exact division; x is found when r is exactly zero. An integer
+    solution with entries below p^digits / 2 in absolute value is found
+    within `digits` digits.
+    """
+    x = np.zeros(len(b), dtype=object)
+    r, scale = b, 1
+    for _ in range(digits):
+        if not r.any():
+            break
+        digit = _dot_mod(_residues(r, p), t, p)
+        digit = (digit - p * (digit > p // 2)).astype(object)
+        x += scale * digit
+        r = (r - a @ digit) // p
+        scale *= p
+    return None if r.any() else x
+
+
+def _annihilates(coeffs: list[int], vectors: list[np.ndarray]) -> bool:
+    """Whether sum c_k v_k is zero on every coordinate, computed on Python ints."""
+    total = np.zeros(len(vectors[0]), dtype=object)
+    for c, v in zip(coeffs, vectors):
+        if c:
+            total += c * v.astype(object)
+    return not total.any()
+
+
+def krylov_min_poly(powers: Iterator[np.ndarray], rho: int) -> list[int]:
+    """The monic integer c_0, ..., c_K = 1 of the first dependency sum c_k v_k = 0 of v_k = v_0 M^k.
+
+    powers yields the integer arrays v_0, v_1, ... (int64 or Python ints),
+    drawn only as far as they are needed, for an integer matrix M with no
+    eigenvalue above rho in absolute value. The dependency divides M's
+    minimal polynomial, so |c_k| <= (1 + rho)^K, which caps the lifting.
+    Each prime of _PRIMES in turn finds K and the pivots (_modp_pivots),
+    lifts the pivot system (_lift) and checks the relation on every
+    coordinate (_annihilates); the first prime that passes gives the answer.
+    """
+    drawn: list[np.ndarray] = []
+    for p in _PRIMES:
+        pivots, t = _modp_pivots(drawn, powers, p)
+        k = len(pivots)
+        a = np.array([v[pivots].tolist() for v in drawn[:k]], dtype=object).reshape(k, k).T
+        b = np.array([-x for x in drawn[k][pivots].tolist()], dtype=object)
+        bound, digits, scale = 2 * (1 + rho) ** k, 0, 1
+        while scale <= bound:
+            scale *= p
+            digits += 1
+        x = _lift(a, b, t, p, digits)
+        if x is not None:
+            coeffs = [*x.tolist(), 1]
+            if _annihilates(coeffs, drawn[: k + 1]):
+                return coeffs
+    raise ArithmeticError("no prime certified the minimal polynomial")
 
 
 def _axpy(

@@ -26,6 +26,7 @@ from schur2.algebra import (
     to_h_basis,
     to_power_basis,
 )
+from schur2.cli import entry
 from schur2.elements import Element, Flavor, mul, substitute_offvar
 from schur2.exprs import parse_element, render_plain_terms
 from schur2.oracle import eval_element, weight_rep
@@ -532,6 +533,106 @@ def test_min_poly_matches_weight_model(monkeypatch):
         clear_caches()
     # The 10^12 coefficient starts in int64 and moves to Python ints mid-sequence.
     assert any(kinds[0] != object and kinds[-1] == object for kinds in dtypes)
+
+
+def _first_dependency_min_poly(x, ctx):
+    """min_poly by the exact elimination of matrices.first_dependency on the same powers."""
+    ys = normalize(x, ctx).single_var_terms()
+    assert all(Fraction(q).denominator == 1 for q in ys.values())
+    has_a, has_c = any(a for a, _, _ in ys), any(c for _, _, c in ys)
+    parts = [(algebra._right_rows(ctx.d, y, has_a, has_c), int(q)) for y, q in ys.items()]
+    size = len(algebra._region(ctx.d, has_a, has_c))
+    sparse = (dict(zip(np.flatnonzero(v).tolist(), v[v != 0].tolist())) for v in algebra._krylov(parts, size))
+    return matrices.first_dependency(sparse, size)
+
+
+def _tried_primes(monkeypatch):
+    """The primes min_poly works with, in order, recorded from matrices._modp_pivots."""
+    tried = []
+    pivots = matrices._modp_pivots
+
+    def recording(drawn, powers, p):
+        tried.append(p)
+        return pivots(drawn, powers, p)
+
+    monkeypatch.setattr(matrices, "_modp_pivots", recording)
+    return tried
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_min_poly_matches_first_dependency(flavor):
+    ctx = SchurContext(10, flavor)
+    x = parse_element("E(2)+F(3)+h", flavor)
+    p = min_poly(x, ctx)
+    assert p == _first_dependency_min_poly(x, ctx)
+    assert len(p) - 1 == 35
+
+
+def test_min_poly_rejects_bad_primes(monkeypatch):
+    ctx = SchurContext(10)
+    x = parse_element("E(2)+F(3)+h", ctx.flavor)
+    want = min_poly(x, ctx)
+    tried = _tried_primes(monkeypatch)
+    # Mod 2 and mod 3 the powers of x fall dependent early (at K = 4 and 9,
+    # against 35), so both primes must be rejected before a large one
+    # certifies the answer.
+    primes = matrices._PRIMES
+    monkeypatch.setattr(matrices, "_PRIMES", (2, 3, *primes))
+    assert min_poly(x, ctx) == want
+    assert tried == [2, 3, primes[0]]
+
+
+def test_min_poly_never_returns_an_unchecked_answer(monkeypatch, capsys):
+    ctx = SchurContext(6)
+    x = 2 * Element.generator("h") + 3 * Element.generator("e") - 5 * Element.generator("f")
+    want = min_poly(x, ctx)
+    tried = _tried_primes(monkeypatch)
+    lift = matrices._lift
+    spoiled = []
+
+    def off_by_one(*args):
+        # One coefficient off by one: only the exact certificate can tell.
+        out = lift(*args)
+        if out is not None and len(spoiled) < limit:
+            spoiled.append(1)
+            out[len(out) // 2] += 1
+        return out
+
+    monkeypatch.setattr(matrices, "_lift", off_by_one)
+    limit = 1
+    assert min_poly(x, ctx) == want
+    assert tried == list(matrices._PRIMES[:2])
+    limit = len(matrices._PRIMES)
+    spoiled.clear()
+    tried.clear()
+    with pytest.raises(ArithmeticError, match="no prime certified"):
+        min_poly(x, ctx)
+    assert tried == list(matrices._PRIMES)
+    spoiled.clear()
+    assert entry(["minpoly", "--d", "6", "2*h + 3*e - 5*f"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: ArithmeticError: no prime certified the minimal polynomial\n")
+
+
+def test_min_poly_consults_the_int64_guard(monkeypatch):
+    ctx = SchurContext(8)
+    x = parse_element("E(2)+F(3)+h", ctx.flavor)
+    want = min_poly(x, ctx)
+    safe = matrices.int64_safe
+    calls = []
+
+    def split_residue_products(n, max_a, max_b):
+        # The mod-p dot products pass (length, p, p); forcing them to split
+        # into single terms must not change the answer.
+        calls.append((n, max_a, max_b))
+        if max_a == max_b == matrices._PRIMES[0]:
+            return n <= 1 and safe(n, max_a, max_b)
+        return safe(n, max_a, max_b)
+
+    monkeypatch.setattr(matrices, "int64_safe", split_residue_products)
+    assert min_poly(x, ctx) == want
+    lengths = {n for n, a, b in calls if a == b == matrices._PRIMES[0]}
+    assert max(lengths) == len(want) - 1 and 1 in lengths
 
 
 def test_expected_min_polys():

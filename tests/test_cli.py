@@ -74,6 +74,24 @@ def test_minpoly_frozen(capsys):
     assert out == "T^4 - 6*T^3 + 11*T^2 - 6*T\n"
 
 
+def test_expression_may_begin_with_a_minus_sign(capsys):
+    cases = (
+        (("normalize", "--d", "2"), "-5/7*h^2", "-20/7 + 20/7*binom(H2,1) - 40/7*binom(H2,2)\n"),
+        (("normalize", "--d", "2", "--basis", "power"), "-h + 2", "2*H2\n"),
+        (("minpoly", "--d", "3"), "-e", "T^4\n"),
+        (("minpoly", "--d", "3"), "-h^2", "T^2 + 10*T + 9\n"),
+    )
+    for options, expr, want in cases:
+        for argv in ((*options, expr), (*options, "--", expr), (options[0], expr, *options[1:])):
+            assert _run(capsys, *argv) == (0, want, ""), argv
+    # -h alone is still the help option, and a negative --d still reaches its check.
+    with pytest.raises(SystemExit) as info:
+        entry(["minpoly", "--d", "3", "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: schur2 minpoly")
+    assert _run(capsys, "minpoly", "--d", "-3", "-e") == (2, "", "error: d must be nonnegative\n")
+
+
 def test_basis_listing(capsys):
     code, out, _ = _run(capsys, "basis", "--d", "1")
     assert code == 0

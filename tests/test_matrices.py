@@ -264,6 +264,48 @@ def test_exact_rank_wide_integer_matrix():
     assert exact_rank(a) == bareiss_rank(a)
 
 
+def test_krylov_min_poly_matches_first_dependency():
+    rng = random.Random(61)
+    for trial in range(80):
+        n = rng.randint(1, 8)
+        scale = 10**12 if trial % 4 == 3 else 1  # powers that leave int64 early
+        m = np.array([[rng.choice((0, 0, rng.randint(-4, 4))) * scale for _ in range(n)] for _ in range(n)], dtype=object)
+        rho = max(sum(abs(x) for x in col) for col in m.T.tolist())
+        v0 = np.zeros(n, dtype=np.int64)
+        if trial % 10:
+            v0[rng.randrange(n)] = 1
+            v0[rng.randrange(n)] += rng.randint(-2, 2)
+
+        def powers(v=v0):
+            while True:
+                yield v
+                v = v @ m
+
+        sparse = (dict(zip(np.flatnonzero(v).tolist(), v[v != 0].tolist())) for v in powers())
+        want = first_dependency(sparse, n)
+        assert ptrim(matrices.krylov_min_poly(powers(), rho)) == want, trial
+
+
+def test_dot_mod_splits_where_int64_safe_fails(monkeypatch):
+    rng = np.random.default_rng(7)
+    p = matrices._PRIMES[0]
+    u = rng.integers(0, p, size=37)
+    m = rng.integers(0, p, size=(37, 5))
+    want = (u.astype(object) @ m.astype(object)) % p
+    assert matrices._dot_mod(u, m, p).tolist() == want.tolist()
+    safe = matrices.int64_safe
+    lengths = []
+
+    def short_sums(n, max_a, max_b):
+        lengths.append(n)
+        return n <= 4 and safe(n, max_a, max_b)
+
+    monkeypatch.setattr(matrices, "int64_safe", short_sums)
+    got = matrices._dot_mod(u, m, p)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert lengths[0] == 37 and max(n for n in lengths if n <= 4) == 4
+
+
 def test_min_poly_base_cases():
     assert min_poly(np.zeros((3, 3), dtype=object)) == ptrim([0, 1])
     assert min_poly(np.eye(4, dtype=object)) == pfrom_roots([1])
